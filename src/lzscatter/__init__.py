@@ -9,9 +9,7 @@ from .models import (
     UnknownFamilyError,
     build_model,
     build_spin_rep,
-    hamiltonian_at,
     model_from_descriptor,
-    partner_at,
 )
 from .numerics import (
     IntegrationDivergedError,
@@ -19,7 +17,6 @@ from .numerics import (
     OdeSettings,
     commutator,
     hermitian_eigs,
-    integrate,
     propagate_unitary,
     unitarity_defect,
 )

@@ -7,7 +7,8 @@ zero-curvature residual of partnered families, and append one record per
 successful invocation to a JSON-lines run ledger.
 
 Exit codes: 0 success, 1 validation failure (an invariant or comparison
-did not hold), 2 input error.
+did not hold), 2 input error, 3 internal error (an unexpected exception,
+reported as ``internal error: <Class>: <message>``).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def cmd_model_show(args):
     model = _build_from_args(args)
     out = {
         "descriptor": model.descriptor(),
-        "a": _matrix_json(model.a_of(model._eps_value(None))),
+        "a": _matrix_json(model.a_of()),
         "b": _matrix_json(model.b),
     }
     if model.has_partner:
@@ -500,9 +501,9 @@ def main(argv=None) -> int:
             SingularPartnerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # contract: no tracebacks on malformed input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a bug, not bad input: name it, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -140,7 +140,7 @@ def default_path(model: AffineModel, r_scale: float = DEFAULT_R_SCALE) -> PathSp
     The rail height is RAIL_FACTOR * max|B_ii| * R on the side of the
     model's nominal eps (the partner pole at eps = 0 is never crossed).
     """
-    eps0 = model._eps_value(None)
+    eps0 = float(model.eps or 0.0)
     if eps0 == 0.0:
         raise SingularPartnerError(
             "path deformation needs eps != 0 (partner pole at eps = 0)"

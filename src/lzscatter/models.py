@@ -5,6 +5,16 @@ splitting parameter ``eps``), a real diagonal slope matrix ``B``, and,
 where one exists, a commuting-flow partner ``E(t, eps) = E0(eps) + t E1``
 used by the zero-curvature verifier and the path-deformation engine.
 
+Every family is stored as constant coefficient matrices of one Laurent
+layout, and this module is the only one that knows it:
+
+    A(eps)  = a0 + eps a1
+    E0(eps) = e_inv / eps + e_0 + eps e_eps
+
+with constant ``b`` and ``e1``.  The exact eps-derivatives follow from the
+coefficients (``dA/deps = a1``, ``dE0/deps = -e_inv / eps^2 + e_eps``), so
+no family carries hand-written evaluation or derivative code.
+
 Families
 --------
 lz2       two levels, slopes +-a, coupling delta
@@ -24,8 +34,8 @@ All parameters are plain reals in units with hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -86,12 +96,12 @@ def build_spin_rep(k: int) -> SpinRep:
 
 @dataclass(frozen=True)
 class AffineModel:
-    """One catalog instance: H(t, eps) = A(eps) + t B, optional partner E.
+    """One catalog instance as coefficient matrices.
 
-    ``a_of``/``da_of`` evaluate A and its exact eps-derivative; ``e0_of``/
-    ``de0_of`` do the same for the partner's constant part when a partner
-    exists.  ``eps`` stores the nominal parameter value used when a call
-    does not override it.
+    ``H(t, eps) = a0 + eps a1 + t b``; when ``e1`` is set the family has the
+    partner ``E(t, eps) = e_inv / eps + e_0 + eps e_eps + t e1``.  ``eps``
+    stores the nominal parameter value used when a call does not override
+    it.
     """
 
     family: str
@@ -99,14 +109,14 @@ class AffineModel:
     delta: object
     slope: object
     eps: Optional[float]
+    a0: np.ndarray
+    a1: np.ndarray
     b: np.ndarray
-    a_of: Callable[[float], np.ndarray]
-    da_of: Callable[[float], np.ndarray]
+    e_inv: Optional[np.ndarray] = None
+    e_0: Optional[np.ndarray] = None
+    e_eps: Optional[np.ndarray] = None
     e1: Optional[np.ndarray] = None
-    e0_of: Optional[Callable[[float], np.ndarray]] = None
-    de0_of: Optional[Callable[[float], np.ndarray]] = None
     spin_basis_permutation: Optional[tuple] = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def has_partner(self) -> bool:
@@ -119,24 +129,37 @@ class AffineModel:
             return float(self.eps)
         return 0.0
 
+    def a_of(self, eps: Optional[float] = None) -> np.ndarray:
+        e = self._eps_value(eps)
+        # eps-free families skip the a1 term on the propagation hot path
+        return self.a0 + e * self.a1 if e else self.a0.copy()
+
+    def da_of(self, eps: Optional[float] = None) -> np.ndarray:
+        return self.a1.copy()
+
+    def e0_of(self, eps: Optional[float] = None) -> np.ndarray:
+        e = self._eps_value(eps)
+        return self.e_inv / e + self.e_0 + e * self.e_eps
+
+    def de0_of(self, eps: Optional[float] = None) -> np.ndarray:
+        e = self._eps_value(eps)
+        return self.e_eps - self.e_inv / (e * e)
+
     def hamiltonian(self, t: float, eps: Optional[float] = None) -> np.ndarray:
-        return self.a_of(self._eps_value(eps)) + t * self.b
+        return self.a_of(eps) + t * self.b
 
     def partner(self, t: float, eps: Optional[float] = None) -> np.ndarray:
-        self._check_partner(eps)
-        return self.e0_of(self._eps_value(eps)) + t * self.e1
+        return self.partner_constant(eps) + t * self.e1
 
     def partner_constant(self, eps: Optional[float] = None) -> np.ndarray:
-        self._check_partner(eps)
-        return self.e0_of(self._eps_value(eps))
-
-    def _check_partner(self, eps):
         if not self.has_partner:
             raise MissingPartnerError(f"family {self.family!r} has no partner E")
-        if self._eps_value(eps) == 0.0:
+        e = self._eps_value(eps)
+        if e == 0.0:
             raise SingularPartnerError(
                 f"partner of {self.family!r} is singular at eps = 0 (1/eps entries)"
             )
+        return self.e0_of(e)
 
     def descriptor(self) -> dict:
         d = {"family": self.family, "delta": _plain(self.delta), "slope": _plain(self.slope)}
@@ -158,6 +181,10 @@ def _hermitize(upper: np.ndarray) -> np.ndarray:
     return upper + upper.conj().T - np.diag(np.diag(upper).real).astype(complex)
 
 
+def _diag(values) -> np.ndarray:
+    return np.diag(values).astype(complex)
+
+
 def _require_positive(name, value):
     value = float(value)
     if not value > 0.0:
@@ -174,13 +201,11 @@ def _scalar(name, value):
 def _build_lz2(delta, slope):
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    a_mat = np.array([[0.0, d], [d, 0.0]], dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
     return AffineModel(
         family="lz2", k=2, delta=d, slope=a, eps=None,
-        b=np.diag([a, -a]).astype(complex),
-        a_of=lambda e, m=a_mat: m.copy(),
-        da_of=lambda e, z=zero: z.copy(),
+        a0=np.array([[0.0, d], [d, 0.0]], dtype=complex),
+        a1=np.zeros((2, 2), dtype=complex),
+        b=_diag([a, -a]),
     )
 
 
@@ -191,18 +216,15 @@ def _build_spin(k, delta, slope, family="spin", permute=None):
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
     rep = build_spin_rep(k)
-    a_mat = 2.0 * d * rep.x
-    b_mat = 2.0 * a * rep.z
+    a0 = 2.0 * d * rep.x
+    b = 2.0 * a * rep.z
     if permute is not None:
         p = list(permute)
-        a_mat = a_mat[np.ix_(p, p)]
-        b_mat = b_mat[np.ix_(p, p)]
-    zero = np.zeros((k, k), dtype=complex)
+        a0 = a0[np.ix_(p, p)]
+        b = b[np.ix_(p, p)]
     return AffineModel(
         family=family, k=k, delta=d, slope=a, eps=None,
-        b=b_mat,
-        a_of=lambda e, m=a_mat: m.copy(),
-        da_of=lambda e, z=zero: z.copy(),
+        a0=a0, a1=np.zeros((k, k), dtype=complex), b=b,
         spin_basis_permutation=tuple(permute) if permute is not None else None,
     )
 
@@ -210,36 +232,18 @@ def _build_spin(k, delta, slope, family="spin", permute=None):
 def _build_bowtie3(delta, slope, eps):
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    e0 = _scalar("eps", eps)
-
-    def a_of(e):
-        return np.array(
-            [[e, 0.0, d], [0.0, -e, d], [d, d, 0.0]], dtype=complex
-        )
-
-    def da_of(e):
-        return np.diag([1.0, -1.0, 0.0]).astype(complex)
-
-    def e0_of(e):
-        c = d / a
-        w = d * d / (a * e)
-        return np.array(
-            [[0.0, -w, -c], [-w, 0.0, c], [-c, c, e / a - w]], dtype=complex
-        )
-
-    def de0_of(e):
-        w2 = d * d / (a * e * e)
-        return np.array(
-            [[0.0, w2, 0.0], [w2, 0.0, 0.0], [0.0, 0.0, 1.0 / a + w2]],
-            dtype=complex,
-        )
-
+    e = _scalar("eps", eps)
+    c = d / a
+    w = d * d / a
     return AffineModel(
-        family="bowtie3", k=3, delta=d, slope=a, eps=e0,
-        b=np.diag([0.0, 0.0, a]).astype(complex),
-        a_of=a_of, da_of=da_of,
-        e1=np.diag([1.0, -1.0, 0.0]).astype(complex),
-        e0_of=e0_of, de0_of=de0_of,
+        family="bowtie3", k=3, delta=d, slope=a, eps=e,
+        a0=np.array([[0.0, 0.0, d], [0.0, 0.0, d], [d, d, 0.0]], dtype=complex),
+        a1=_diag([1.0, -1.0, 0.0]),
+        b=_diag([0.0, 0.0, a]),
+        e_inv=np.array([[0.0, -w, 0.0], [-w, 0.0, 0.0], [0.0, 0.0, -w]], dtype=complex),
+        e_0=np.array([[0.0, 0.0, -c], [0.0, 0.0, c], [-c, c, 0.0]], dtype=complex),
+        e_eps=_diag([0.0, 0.0, 1.0 / a]),
+        e1=_diag([1.0, -1.0, 0.0]),
     )
 
 
@@ -256,217 +260,118 @@ def _build_bowtieN(deltas, slopes, eps):
             raise ValueError(
                 f"bowtieN slope magnitudes must be strictly increasing, got {mags}"
             )
-    e0val = _scalar("eps", eps)
+    e = _scalar("eps", eps)
     n = len(slopes)
     k = n + 2
+    d = np.array(deltas)
+    s = np.array(slopes)
+    sweep = np.arange(2, k)
+    flat = [1.0, -1.0] + [0.0] * n
+    hsum = float(np.sum(d * d / s))
 
-    def a_of(e):
-        m = np.zeros((k, k), dtype=complex)
-        m[0, 0] = e
-        m[1, 1] = -e
-        for i, d in enumerate(deltas):
-            m[0, 2 + i] = m[2 + i, 0] = d
-            m[1, 2 + i] = m[2 + i, 1] = d
-        return m
-
-    def da_of(e):
-        m = np.zeros((k, k), dtype=complex)
-        m[0, 0] = 1.0
-        m[1, 1] = -1.0
-        return m
-
-    hsum = sum(d * d / s for d, s in zip(deltas, slopes))
-
-    def e0_of(e):
-        h = -hsum / e
-        m = np.zeros((k, k), dtype=complex)
-        m[0, 1] = m[1, 0] = h
-        for i, (d, s) in enumerate(zip(deltas, slopes)):
-            m[0, 2 + i] = m[2 + i, 0] = -d / s
-            m[1, 2 + i] = m[2 + i, 1] = d / s
-            m[2 + i, 2 + i] = h + e / s
-        return m
-
-    def de0_of(e):
-        dh = hsum / (e * e)
-        m = np.zeros((k, k), dtype=complex)
-        m[0, 1] = m[1, 0] = dh
-        for i, s in enumerate(slopes):
-            m[2 + i, 2 + i] = dh + 1.0 / s
-        return m
-
-    b = np.diag([0.0, 0.0] + list(slopes)).astype(complex)
-    e1 = np.diag([1.0, -1.0] + [0.0] * n).astype(complex)
+    a0 = np.zeros((k, k), dtype=complex)
+    a0[0, sweep] = a0[1, sweep] = d
+    e_inv = np.zeros((k, k), dtype=complex)
+    e_inv[0, 1] = -hsum
+    e_inv[sweep, sweep] = -hsum
+    e_0 = np.zeros((k, k), dtype=complex)
+    e_0[0, sweep] = -d / s
+    e_0[1, sweep] = d / s
     return AffineModel(
-        family="bowtieN", k=k, delta=deltas, slope=slopes, eps=e0val,
-        b=b, a_of=a_of, da_of=da_of, e1=e1, e0_of=e0_of, de0_of=de0_of,
+        family="bowtieN", k=k, delta=deltas, slope=slopes, eps=e,
+        a0=_hermitize(a0), a1=_diag(flat), b=_diag([0.0, 0.0] + list(slopes)),
+        e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
+        e_eps=_diag([0.0, 0.0] + list(1.0 / s)),
+        e1=_diag(flat),
     )
 
 
 def _build_su3six(delta, slope, eps, partner_b=None):
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    e0val = _scalar("eps", eps)
-    # one partner coupling is conventionally written with an independent
-    # symbol; zero curvature pins it to the sweep rate a.  Passing a
-    # different partner_b builds a deliberately inconsistent partner so
-    # the verifier's detection path can be exercised.
-    bsym = a if partner_b is None else float(partner_b)
+    e = _scalar("eps", eps)
     s2d = _SQRT2 * d
+    w = d * d / a
+    flat = [2.0, 0.0, -2.0, 1.0, -1.0, 0.0]
 
-    def a_of(e):
-        m = np.zeros((6, 6), dtype=complex)
-        m[0, 0] = 2 * e
-        m[2, 2] = -2 * e
-        m[3, 3] = e
-        m[4, 4] = -e
-        m[0, 3] = s2d
-        m[1, 3] = d
-        m[1, 4] = d
-        m[2, 4] = s2d
-        m[3, 5] = s2d
-        m[4, 5] = s2d
-        return _hermitize(m)
-
-    def da_of(e):
-        return np.diag([2.0, 0.0, -2.0, 1.0, -1.0, 0.0]).astype(complex)
-
-    def e0_of(e):
-        kk = -_SQRT2 * d * d / (a * e)
-        # the slot coupling the two equal-slope sweeping levels must carry
-        # the plain 1/eps weight (kk / sqrt(2)); anything else breaks the
-        # commutation residual away from zero
-        ww = -d * d / (a * e)
-        ll = ww + e / a
-        m = np.zeros((6, 6), dtype=complex)
-        m[0, 1] = kk
-        m[1, 2] = kk
-        m[3, 4] = ww
-        m[0, 3] = -s2d / a
-        m[1, 3] = d / a
-        m[1, 4] = -d / bsym
-        m[2, 4] = s2d / a
-        m[3, 5] = -s2d / a
-        m[4, 5] = s2d / a
-        m[3, 3] = ll
-        m[4, 4] = ll
-        m[5, 5] = 2 * ll
-        return _hermitize(m)
-
-    def de0_of(e):
-        dk = _SQRT2 * d * d / (a * e * e)
-        dw = d * d / (a * e * e)
-        dl = dw + 1.0 / a
-        m = np.zeros((6, 6), dtype=complex)
-        m[0, 1] = dk
-        m[1, 2] = dk
-        m[3, 4] = dw
-        m[3, 3] = dl
-        m[4, 4] = dl
-        m[5, 5] = 2 * dl
-        return _hermitize(m)
-
+    a0 = np.zeros((6, 6), dtype=complex)
+    a0[0, 3] = a0[2, 4] = a0[3, 5] = a0[4, 5] = s2d
+    a0[1, 3] = a0[1, 4] = d
+    e_inv = np.zeros((6, 6), dtype=complex)
+    e_inv[0, 1] = e_inv[1, 2] = -_SQRT2 * w
+    # the slot coupling the two equal-slope sweeping levels must carry the
+    # plain 1/eps weight; anything else breaks the commutation residual
+    e_inv[3, 4] = -w
+    e_inv[3, 3] = e_inv[4, 4] = -w
+    e_inv[5, 5] = -2.0 * w
+    e_0 = np.zeros((6, 6), dtype=complex)
+    e_0[0, 3] = e_0[3, 5] = -s2d / a
+    e_0[2, 4] = e_0[4, 5] = s2d / a
+    e_0[1, 3] = d / a
+    e_0[1, 4] = -d / a
+    if partner_b is not None:
+        # one partner coupling is conventionally written with an independent
+        # symbol that zero curvature pins to the sweep rate a; any other
+        # value builds a deliberately inconsistent partner so the
+        # verifier's detection path can be exercised
+        e_0[1, 4] = -d / float(partner_b)
     return AffineModel(
-        family="su3six", k=6, delta=d, slope=a, eps=e0val,
-        b=np.diag([0.0, 0.0, 0.0, a, a, 2 * a]).astype(complex),
-        a_of=a_of, da_of=da_of,
-        e1=np.diag([2.0, 0.0, -2.0, 1.0, -1.0, 0.0]).astype(complex),
-        e0_of=e0_of, de0_of=de0_of,
-        extras={"partner_b": bsym},
+        family="su3six", k=6, delta=d, slope=a, eps=e,
+        a0=_hermitize(a0), a1=_diag(flat), b=_diag([0.0, 0.0, 0.0, a, a, 2 * a]),
+        e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
+        e_eps=_diag([0.0, 0.0, 0.0, 1.0 / a, 1.0 / a, 2.0 / a]),
+        e1=_diag(flat),
     )
 
 
 def _build_su3adj8(delta, slope, eps):
     d = _scalar("delta", delta)
     b = _require_positive("slope", _scalar("slope", slope))
-    e0val = _scalar("eps", eps)
+    e = _scalar("eps", eps)
     s2d = _SQRT2 * d
     s32d = _SQRT32 * d
+    w = d * d / b
+    flat = [0.0, 0.0, -2.0, 2.0, -1.0, 1.0, -1.0, 1.0]
 
-    def a_of(e):
-        m = np.zeros((8, 8), dtype=complex)
-        m[2, 2] = -2 * e
-        m[3, 3] = 2 * e
-        m[4, 4] = -e
-        m[5, 5] = e
-        m[6, 6] = -e
-        m[7, 7] = e
-        m[0, 5] = -1j * s32d
-        m[0, 6] = -1j * s32d
-        m[1, 4] = 1j * s2d
-        m[1, 5] = 1j * d / _SQRT2
-        m[1, 6] = 1j * d / _SQRT2
-        m[1, 7] = 1j * s2d
-        m[2, 4] = d
-        m[2, 6] = d
-        m[3, 5] = -d
-        m[3, 7] = -d
-        return _hermitize(m)
-
-    def da_of(e):
-        return np.diag([0.0, 0.0, -2.0, 2.0, -1.0, 1.0, -1.0, 1.0]).astype(complex)
-
+    a0 = np.zeros((8, 8), dtype=complex)
+    a0[0, 5] = a0[0, 6] = -1j * s32d
+    a0[1, 4] = a0[1, 7] = 1j * s2d
+    a0[1, 5] = a0[1, 6] = 1j * d / _SQRT2
+    a0[2, 4] = a0[2, 6] = d
+    a0[3, 5] = a0[3, 7] = -d
     # The two flat zero-weight levels admit a basis rotation that leaves H
     # unchanged only together with a matching rotation of E; the partner
     # below is the unique one (up to adding c(eps) * I) that satisfies the
-    # zero-curvature identity in the same basis as a_of.
-    def e0_of(e):
-        g = (d * d - e * e) / (b * e)
-        w = d * d / (b * e)
-        m = np.zeros((8, 8), dtype=complex)
-        m[4, 4] = g
-        m[5, 5] = g
-        m[6, 6] = -g
-        m[7, 7] = -g
-        m[0, 2] = 1j * _SQRT32 * w
-        m[0, 3] = 1j * _SQRT32 * w
-        m[0, 5] = 1j * s32d / b
-        m[0, 6] = 1j * s32d / b
-        m[1, 2] = 1j * w / _SQRT2
-        m[1, 3] = 1j * w / _SQRT2
-        m[1, 4] = 1j * s2d / b
-        m[1, 5] = -1j * d / (_SQRT2 * b)
-        m[1, 6] = -1j * d / (_SQRT2 * b)
-        m[1, 7] = 1j * s2d / b
-        m[2, 4] = -d / b
-        m[2, 6] = d / b
-        m[3, 5] = -d / b
-        m[3, 7] = d / b
-        m[4, 5] = -w
-        m[6, 7] = w
-        return _hermitize(m)
-
-    def de0_of(e):
-        dg = -d * d / (b * e * e) - 1.0 / b
-        dw = -d * d / (b * e * e)
-        m = np.zeros((8, 8), dtype=complex)
-        m[4, 4] = dg
-        m[5, 5] = dg
-        m[6, 6] = -dg
-        m[7, 7] = -dg
-        m[0, 2] = 1j * _SQRT32 * dw
-        m[0, 3] = 1j * _SQRT32 * dw
-        m[1, 2] = 1j * dw / _SQRT2
-        m[1, 3] = 1j * dw / _SQRT2
-        m[4, 5] = -dw
-        m[6, 7] = dw
-        return _hermitize(m)
-
+    # zero-curvature identity in the same basis as a0.
+    e_inv = np.zeros((8, 8), dtype=complex)
+    e_inv[4, 4] = e_inv[5, 5] = e_inv[6, 7] = w
+    e_inv[6, 6] = e_inv[7, 7] = e_inv[4, 5] = -w
+    e_inv[0, 2] = e_inv[0, 3] = 1j * _SQRT32 * w
+    e_inv[1, 2] = e_inv[1, 3] = 1j * w / _SQRT2
+    e_0 = np.zeros((8, 8), dtype=complex)
+    e_0[0, 5] = e_0[0, 6] = 1j * s32d / b
+    e_0[1, 4] = e_0[1, 7] = 1j * s2d / b
+    e_0[1, 5] = e_0[1, 6] = -1j * d / (_SQRT2 * b)
+    e_0[2, 4] = e_0[3, 5] = -d / b
+    e_0[2, 6] = e_0[3, 7] = d / b
     return AffineModel(
-        family="su3adj8", k=8, delta=d, slope=b, eps=e0val,
-        b=np.diag([0.0, 0.0, 0.0, 0.0, -b, -b, b, b]).astype(complex),
-        a_of=a_of, da_of=da_of,
-        e1=np.diag([0.0, 0.0, -2.0, 2.0, -1.0, 1.0, -1.0, 1.0]).astype(complex),
-        e0_of=e0_of, de0_of=de0_of,
+        family="su3adj8", k=8, delta=d, slope=b, eps=e,
+        a0=_hermitize(a0), a1=_diag(flat),
+        b=_diag([0.0, 0.0, 0.0, 0.0, -b, -b, b, b]),
+        e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
+        e_eps=_diag([0.0, 0.0, 0.0, 0.0, -1.0 / b, -1.0 / b, 1.0 / b, 1.0 / b]),
+        e1=_diag(flat),
     )
 
 
-def build_model(family, delta=None, slope=None, eps=None, k=None, **kwargs):
+def build_model(family, delta=None, slope=None, eps=None, k=None, partner_b=None):
     """Build a catalog model by family tag.
 
     ``delta``/``slope`` are scalars except for bowtieN, which takes equal
     length lists; ``eps`` is required for the bow-tie-type families; ``k``
-    only applies to the spin family.
+    only applies to the spin family.  ``partner_b`` (su3six only) replaces
+    the sweep rate in one partner coupling, which breaks zero curvature on
+    purpose for any value other than ``slope``.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(
@@ -476,6 +381,8 @@ def build_model(family, delta=None, slope=None, eps=None, k=None, **kwargs):
         raise ValueError("delta and slope are required")
     if family in ("bowtie3", "bowtieN", "su3six", "su3adj8") and eps is None:
         raise ValueError(f"family {family!r} requires eps")
+    if partner_b is not None and family != "su3six":
+        raise ValueError(f"partner_b applies to su3six only, not {family!r}")
 
     if family == "lz2":
         return _build_lz2(delta, slope)
@@ -489,18 +396,8 @@ def build_model(family, delta=None, slope=None, eps=None, k=None, **kwargs):
     if family == "bowtieN":
         return _build_bowtieN(delta, slope, eps)
     if family == "su3six":
-        return _build_su3six(delta, slope, eps, partner_b=kwargs.get("partner_b"))
+        return _build_su3six(delta, slope, eps, partner_b=partner_b)
     return _build_su3adj8(delta, slope, eps)
-
-
-def hamiltonian_at(model: AffineModel, t: float, eps: Optional[float] = None) -> np.ndarray:
-    """Evaluate H(t, eps) = A(eps) + t B."""
-    return model.hamiltonian(t, eps)
-
-
-def partner_at(model: AffineModel, t: float, eps: Optional[float] = None) -> np.ndarray:
-    """Evaluate the partner E(t, eps) = E0(eps) + t E1."""
-    return model.partner(t, eps)
 
 
 def model_from_descriptor(descriptor: dict) -> AffineModel:

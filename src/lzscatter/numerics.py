@@ -2,13 +2,12 @@
 
 Everything downstream (model evaluation, Lax flows, the numerical
 scattering engine) goes through the handful of operations in this module:
-a validated Hermitian eigensolver, the matrix commutator, a generic
-adaptive Runge-Kutta integrator, and an adaptive Magnus propagator for
-linear Schrodinger-type flows.  The Magnus stepper exists because the
-RK route, while fine for generic right-hand sides, accumulates unitarity
-drift over sweeps of several hundred time units; the Magnus update is a
-product of exact matrix exponentials of Hermitian generators and is
-therefore unitary to roundoff at any step size.
+a validated Hermitian eigensolver, the matrix commutator, and an
+adaptive Magnus propagator for linear Schrodinger-type flows.  The Magnus
+update is a product of exact matrix exponentials of Hermitian generators
+and is therefore unitary to roundoff at any step size, where a generic
+Runge-Kutta route accumulates unitarity drift over sweeps of several
+hundred time units.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 _SQRT3 = np.sqrt(3.0)
 
-# smallest step fraction before the adaptive drivers declare divergence
+# smallest step fraction before the adaptive driver declares divergence
 _MIN_STEP_FRACTION = 1e-12
 
 
@@ -41,18 +39,15 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Tolerances and limits for the adaptive integrators.
+    """Tolerances and limits for the adaptive propagator.
 
     rtol, atol : local error tolerances, both constrained to (0, 1e-2]
     max_step   : largest step the driver may take, in time units
-    order_hint : preferred integration order; >= 7 selects DOP853 for the
-                 RK route, anything lower selects RK45
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: float = np.inf
-    order_hint: int = 8
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
@@ -61,8 +56,6 @@ class OdeSettings:
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
         if not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
-        if self.order_hint < 2:
-            raise ValueError(f"order_hint must be >= 2, got {self.order_hint}")
 
 
 def _as_complex_square(m, name="matrix"):
@@ -104,45 +97,6 @@ def hermitian_eigs(m, tol=1e-12):
         )
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def integrate(rhs, y0, t0, t1, settings=None):
-    """Adaptive Runge-Kutta integration of ``dy/dt = rhs(t, y)``.
-
-    ``y0`` may be a scalar, vector or matrix; ``rhs`` must return the same
-    shape.  Uses an embedded RK pair (DOP853 for ``order_hint >= 7``, RK45
-    otherwise) with step rejection and retry under the settings'
-    tolerances.  Deterministic for fixed inputs and settings.
-
-    Raises :class:`IntegrationDivergedError` when the step size underflows
-    (the error object carries the last accepted time).
-    """
-    if settings is None:
-        settings = OdeSettings()
-    if t0 == t1:
-        raise ValueError("t0 and t1 must differ")
-    y0 = np.asarray(y0, dtype=complex)
-    shape = y0.shape
-
-    def fun(t, y):
-        return np.asarray(rhs(t, y.reshape(shape)), dtype=complex).ravel()
-
-    method = "DOP853" if settings.order_hint >= 7 else "RK45"
-    sol = solve_ivp(
-        fun,
-        (t0, t1),
-        y0.ravel(),
-        method=method,
-        rtol=settings.rtol,
-        atol=settings.atol,
-        max_step=settings.max_step,
-    )
-    if not sol.success:
-        last_t = float(sol.t[-1]) if sol.t.size else t0
-        raise IntegrationDivergedError(
-            f"integration stalled at t = {last_t!r}: {sol.message}", last_t
-        )
-    return sol.y[:, -1].reshape(shape)
 
 
 def _expmi(m):

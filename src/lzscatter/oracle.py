@@ -50,13 +50,14 @@ class OracleResult:
 
 def default_horizon(model: AffineModel, eps=None) -> float:
     """Horizon heuristic 300 * max(1, |eps|, delta^2 / min nonzero slope)."""
-    eps_val = abs(model._eps_value(eps))
+    if eps is None:
+        eps = model.eps or 0.0
     deltas = np.atleast_1d(np.asarray(model.delta, dtype=float))
     dmax = float(np.abs(deltas).max())
     slopes = np.abs(np.diag(model.b).real)
     slopes = slopes[slopes > 0]
     smin = float(slopes.min()) if slopes.size else 1.0
-    return 300.0 * max(1.0, eps_val, dmax * dmax / smin)
+    return 300.0 * max(1.0, abs(float(eps)), dmax * dmax / smin)
 
 
 def propagate(model: AffineModel, eps=None, t_final=None, settings=None) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 For a valid pair the combination  dH/deps - dE/dt + i [E, H]  vanishes
 identically.  The eps-derivative of H is available exactly (every catalog
-entry is rational in eps), and dE/dt is the constant slope part E1, so
-the verifier doubles as a typo detector: a single wrong entry in either
+A is affine in eps, so dH/deps is its coefficient a1), and dE/dt is the
+constant slope part E1, so the verifier doubles as a typo detector: a single wrong entry in either
 matrix shows up as a residual bounded away from zero.  A central
 finite-difference route for dH/deps is kept as an independent cross-check
 of the exact derivative.

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lzscatter import cli
 from lzscatter.cli import main
 from lzscatter.laxflow import smatrix_spin
 from lzscatter.models import model_from_descriptor
@@ -245,3 +246,19 @@ def test_bowtien_descriptor_lists(tmp_path, capsys):
     assert payload["params"]["slope"] == [1.0, -2.0]
     rebuilt = model_from_descriptor(payload["params"])
     assert rebuilt.k == 4
+
+
+def test_internal_error_exit_3_writes_no_record(tmp_path, capsys, monkeypatch):
+    def broken(model, method, args):
+        raise KeyError("missing table entry")
+
+    monkeypatch.setattr(cli, "compute_smatrix", broken)
+    ledger = tmp_path / "l.jsonl"
+    code, _, err = run(
+        capsys, "smatrix", "--family", "lz2", "--delta", "1", "--slope", "1",
+        "--ledger", str(ledger),
+    )
+    assert code == 3
+    assert err.startswith("internal error: KeyError: ")
+    assert "missing table entry" in err
+    assert not ledger.exists()

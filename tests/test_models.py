@@ -10,10 +10,8 @@ from lzscatter.models import (
     UnknownFamilyError,
     build_model,
     build_spin_rep,
-    hamiltonian_at,
     ladder_amplitude,
     model_from_descriptor,
-    partner_at,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -54,7 +52,7 @@ def test_spin_rep_rejects_k1():
 
 def test_lz2_matches_two_level_form():
     m = build_model("lz2", delta=1.0, slope=1.0)
-    assert np.allclose(hamiltonian_at(m, 0.0), np.array([[0, 1], [1, 0]]))
+    assert np.allclose(m.hamiltonian(0.0), np.array([[0, 1], [1, 0]]))
     assert np.allclose(np.diag(m.b).real, [1.0, -1.0])
 
 
@@ -224,15 +222,28 @@ def test_parameter_validation():
         build_model("bowtieN", delta=[0.1], slope=[1.0, 2.0], eps=1.0)
 
 
+def test_partner_b_is_su3six_only():
+    su3 = build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8)
+    assert su3.e_0[1, 4] == pytest.approx(-0.2 / 0.8)
+    for family, params in (
+        ("bowtie3", dict(delta=0.3, slope=1.0, eps=1.0)),
+        ("lz2", dict(delta=0.3, slope=1.0)),
+    ):
+        with pytest.raises(ValueError, match="su3six only"):
+            build_model(family, partner_b=0.8, **params)
+    with pytest.raises(TypeError):
+        build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0, partnerb=0.8)
+
+
 def test_partner_errors():
     lz = build_model("lz2", delta=1.0, slope=1.0)
     with pytest.raises(MissingPartnerError):
-        partner_at(lz, 0.0)
+        lz.partner(0.0)
     bt = build_model("bowtie3", delta=0.5, slope=1.0, eps=0.0)
     with pytest.raises(SingularPartnerError):
-        partner_at(bt, 0.0)
+        bt.partner(0.0)
     # explicit eps override reaches the regular branch
-    assert np.isfinite(partner_at(bt, 0.0, eps=0.5)).all()
+    assert np.isfinite(bt.partner(0.0, eps=0.5)).all()
 
 
 @pytest.mark.parametrize(
@@ -255,7 +266,7 @@ def test_descriptor_round_trip_is_exact(family, params):
     for t in (-1.3, 0.0, 2.2):
         assert np.array_equal(m1.hamiltonian(t), m2.hamiltonian(t))
         assert np.array_equal(m1.b, m2.b)
-        if m1.has_partner and m1._eps_value(None) != 0.0:
+        if m1.has_partner and m1.eps != 0.0:
             assert np.array_equal(m1.partner(t), m2.partner(t))
 
 

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lzscatter.models import SingularPartnerError, build_model
+from lzscatter.numerics import commutator
 from lzscatter.zerocurv import PASS_THRESHOLD, curvature_residual, verify_pair
 
 
@@ -67,7 +70,8 @@ def test_verify_pair_passes(family, params):
 
 def test_verify_pair_detects_broken_partner():
     m = bowtie3()
-    broken = dataclasses.replace(m, e0_of=lambda e: np.zeros((3, 3), dtype=complex))
+    zero = np.zeros((3, 3), dtype=complex)
+    broken = dataclasses.replace(m, e_inv=zero, e_0=zero, e_eps=zero)
     report = verify_pair(broken)
     assert not report.passed
     # the residual is set by the scale of dH/deps once E is wrong
@@ -86,14 +90,10 @@ def test_verify_pair_detects_mismatched_symbol():
 def test_verify_pair_detects_wrong_equal_slope_weight():
     # doubled 1/eps weight on the equal-slope pair slot: also detectable
     m = build_model("su3six", delta=0.2, slope=0.4, eps=1.0)
-
-    def skewed(e, base=m.e0_of):
-        out = base(e)
-        out[3, 4] *= np.sqrt(2.0)
-        out[4, 3] *= np.sqrt(2.0)
-        return out
-
-    report = verify_pair(dataclasses.replace(m, e0_of=skewed))
+    skewed = m.e_inv.copy()
+    skewed[3, 4] *= np.sqrt(2.0)
+    skewed[4, 3] *= np.sqrt(2.0)
+    report = verify_pair(dataclasses.replace(m, e_inv=skewed))
     assert not report.passed
     assert report.max_residual > 1e-3
 
@@ -118,3 +118,80 @@ def test_report_json_shape():
     assert set(blob) == {"family", "max_residual", "worst_point", "pass"}
     assert set(blob["worst_point"]) == {"t", "eps"}
     assert blob["pass"] is True
+
+
+# Exact certificate.  With H = a0 + eps a1 + t b and
+# E = e_inv / eps + e_0 + eps e_eps + t e1, the residual
+# dH/deps - dE/dt + i [E, H] is a Laurent polynomial in (t, eps); zero
+# curvature holds for all (t, eps) iff its eight coefficients vanish.
+
+
+def laurent_terms(m):
+    """Coefficient matrix of each residual monomial, keyed by the monomial."""
+    c = commutator
+    return {
+        "1/eps": 1j * c(m.e_inv, m.a0),
+        "1": m.a1 - m.e1 + 1j * (c(m.e_inv, m.a1) + c(m.e_0, m.a0)),
+        "eps": 1j * (c(m.e_0, m.a1) + c(m.e_eps, m.a0)),
+        "eps^2": 1j * c(m.e_eps, m.a1),
+        "t/eps": 1j * c(m.e_inv, m.b),
+        "t": 1j * (c(m.e_0, m.b) + c(m.e1, m.a0)),
+        "t eps": 1j * (c(m.e_eps, m.b) + c(m.e1, m.a1)),
+        "t^2": 1j * c(m.e1, m.b),
+    }
+
+
+def monomial(name, t, e):
+    return {"1/eps": 1.0 / e, "1": 1.0, "eps": e, "eps^2": e * e,
+            "t/eps": t / e, "t": t, "t eps": t * e, "t^2": t * t}[name]
+
+
+def certificate(m):
+    """Largest entry of each residual coefficient, relative to the model scale."""
+    mats = (m.a0, m.a1, m.b, m.e_inv, m.e_0, m.e_eps, m.e1)
+    scale = m.k * max(1.0, max(float(np.abs(x).max()) for x in mats)) ** 2
+    return {name: float(np.abs(r).max()) / scale for name, r in laurent_terms(m).items()}
+
+
+couplings = st.floats(-2.0, 2.0)
+rates = st.floats(0.05, 5.0)
+
+
+@st.composite
+def bowtien_params(draw):
+    # random n, strictly increasing magnitudes, any sign pattern
+    n = draw(st.integers(1, 5))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    return dict(
+        delta=draw(st.lists(couplings, min_size=n, max_size=n)),
+        slope=[float(s * g) for s, g in zip(signs, np.cumsum(steps))],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(("bowtie3", "su3six", "su3adj8")),
+                  st.fixed_dictionaries({"delta": couplings, "slope": rates})),
+        st.tuples(st.just("bowtieN"), bowtien_params()),
+    )
+)
+def test_exact_certificate_vanishes(case):
+    family, params = case
+    terms = certificate(build_model(family, eps=1.0, **params))
+    assert max(terms.values()) <= 1e-12, terms
+
+
+def test_certificate_sums_to_the_pointwise_residual():
+    m = build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8)
+    terms = laurent_terms(m)
+    for t, e in ((-3.0, 0.7), (2.5, -1.9), (0.0, 4.0)):
+        total = sum(monomial(name, t, e) * r for name, r in terms.items())
+        assert np.abs(total - curvature_residual(m, t, e)).max() < 1e-12
+
+
+def test_certificate_detects_mismatched_symbol():
+    terms = certificate(build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8))
+    failing = {name for name, size in terms.items() if size > 1e-6}
+    assert {"1", "eps", "t"} <= failing, terms
