@@ -22,6 +22,7 @@ from .numerics import (
 )
 from .laxflow import (
     BlochVector,
+    NegativeProbabilityError,
     asymptotic_v3,
     evolve_lax,
     first_row_element,

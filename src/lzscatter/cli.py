@@ -7,7 +7,8 @@ zero-curvature residual of partnered families, and append one record per
 successful invocation to a JSON-lines run ledger.
 
 Exit codes: 0 success, 1 validation failure (an invariant or comparison
-did not hold), 2 input error, 3 internal error (an unexpected exception,
+did not hold, including a computed probability below the clamp floor),
+2 input error, 3 internal error (an unexpected exception,
 reported as ``internal error: <Class>: <message>``).
 """
 
@@ -24,6 +25,7 @@ import sys
 import numpy as np
 
 from . import crossings, laxflow, oracle, zerocurv
+from .laxflow import NegativeProbabilityError
 from .models import (
     FAMILIES,
     AffineModel,
@@ -494,7 +496,7 @@ def main(argv=None) -> int:
     args.invocation_argv = raw_argv
     try:
         return args.func(args)
-    except ValidationFailure as exc:
+    except (ValidationFailure, NegativeProbabilityError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except (UsageError, UnknownFamilyError, MissingPartnerError,

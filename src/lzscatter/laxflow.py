@@ -24,6 +24,14 @@ from .numerics import OdeSettings, propagate_unitary
 NEGATIVE_ENTRY_FLOOR = -1e-12
 
 
+class NegativeProbabilityError(ArithmeticError):
+    """A computed probability matrix has an entry below the roundoff floor.
+
+    Not a ``ValueError``: the input was valid and a result broke an
+    invariant.
+    """
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Coefficients of a flow matrix in the (X, Y, Z) spin basis."""
@@ -80,7 +88,7 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
         raise ValueError("v0 must be three Bloch coefficients")
     vmat = sum(c * g for c, g in zip(v0, gens))
     # i dV/dt = [V, H]  <=>  V(t) = W V(t0) W^dag  with  i dW/dt = -H W
-    w = propagate_unitary(lambda t: -model.hamiltonian(t), t0, t1, settings)
+    w = propagate_unitary((-model.a_of(), -model.b), t0, t1, settings)
     v_out = w @ vmat @ w.conj().T
     norms = [float(np.trace(g @ g).real) for g in gens]
     coeffs = [float(np.trace(v_out @ g).real) / n for g, n in zip(gens, norms)]
@@ -176,7 +184,7 @@ def clamp_probabilities(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     low = float(s.min())
     if low < NEGATIVE_ENTRY_FLOOR:
-        raise ValueError(f"probability entry {low:.3e} below clamp floor")
+        raise NegativeProbabilityError(f"probability entry {low:.3e} below clamp floor")
     return np.where(s < 0.0, 0.0, s)
 
 

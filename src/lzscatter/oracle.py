@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .laxflow import clamp_probabilities
 from .models import AffineModel
-from .numerics import OdeSettings, propagate_unitary, unitarity_defect
+from .numerics import propagate_unitary, unitarity_defect
 
 # entrywise spread across horizons beyond which a result is flagged
 CONVERGENCE_SPREAD_LIMIT = 0.1
@@ -60,33 +60,40 @@ def default_horizon(model: AffineModel, eps=None) -> float:
     return 300.0 * max(1.0, abs(float(eps)), dmax * dmax / smin)
 
 
-def propagate(model: AffineModel, eps=None, t_final=None, settings=None) -> np.ndarray:
-    """Unitary U(T, -T) whose columns solve i du/dt = H(t, eps) u."""
+def _horizon(model, eps, t_final):
     if t_final is None:
         t_final = default_horizon(model, eps)
     if not t_final > 0:
         raise ValueError(f"horizon must be positive, got {t_final}")
-    if settings is None:
-        settings = OdeSettings()
-    return propagate_unitary(
-        lambda t: model.hamiltonian(t, eps), -t_final, t_final, settings
-    )
+    return t_final
+
+
+def propagate(model: AffineModel, eps=None, t_final=None, settings=None) -> np.ndarray:
+    """Unitary U(T, -T) whose columns solve i du/dt = H(t, eps) u."""
+    t_final = _horizon(model, eps, t_final)
+    return propagate_unitary((model.a_of(eps), model.b), -t_final, t_final, settings)
 
 
 def numeric_smatrix(model: AffineModel, eps=None, t_final=None, settings=None) -> OracleResult:
     """Transition probabilities with a finite-horizon error estimate.
 
-    Propagates at horizons T/2, T/sqrt(2) and T; the entrywise spread of
-    the three probability matrices is the error estimate.  A spread above
-    0.1 flags the result as non-converged (it is still returned).
+    The horizons T/2, T/sqrt(2) and T share one nested propagation:
+    [-T/2, T/2] is propagated once and then extended outward at both ends,
+    ``U <- U(T_next, T_n) U U(-T_n, -T_next)``, so the three propagators
+    cost one sweep of [-T, T].  The entrywise spread of the three
+    probability matrices is the error estimate.  A spread above 0.1 flags
+    the result as non-converged (it is still returned).
     """
-    if t_final is None:
-        t_final = default_horizon(model, eps)
+    t_final = _horizon(model, eps, t_final)
     horizons = [0.5 * t_final, t_final / np.sqrt(2.0), t_final]
-    mats = []
-    defect = 0.0
-    for horizon in horizons:
-        u = propagate(model, eps=eps, t_final=horizon, settings=settings)
+    hamiltonian = (model.a_of(eps), model.b)
+    u = propagate_unitary(hamiltonian, -horizons[0], horizons[0], settings)
+    mats = [np.abs(u) ** 2]
+    defect = unitarity_defect(u)
+    for inner, outer in zip(horizons, horizons[1:]):
+        later = propagate_unitary(hamiltonian, inner, outer, settings)
+        earlier = propagate_unitary(hamiltonian, -outer, -inner, settings)
+        u = later @ u @ earlier
         defect = max(defect, unitarity_defect(u))
         mats.append(np.abs(u) ** 2)
     spread = float(np.max(np.abs(mats[0] - mats[2])))
@@ -139,7 +146,8 @@ def adiabatic_spectrum(model: AffineModel, t_grid, eps=None):
     overlap (optimal assignment), not by sorting, so they stay smooth
     through avoided crossings.  Points where the best overlap is ambiguous
     (squared overlap below 1/2, e.g. an exact degeneracy) fall back to
-    sorted order and are flagged.
+    sorted order and are flagged.  The eigendecompositions of all grid
+    points are one stacked ``eigh`` call.
 
     Returns ``(curves, flags)`` with ``curves`` of shape (len(t_grid), k),
     column c holding the c-th tracked curve, and ``flags`` a boolean array
@@ -152,8 +160,8 @@ def adiabatic_spectrum(model: AffineModel, t_grid, eps=None):
     curves = np.empty((t_grid.size, k))
     flags = np.zeros(t_grid.size, dtype=bool)
     prev_vecs = None
-    for n, t in enumerate(t_grid):
-        w, vecs = np.linalg.eigh(model.hamiltonian(t, eps))
+    values, vectors = np.linalg.eigh(np.stack([model.hamiltonian(t, eps) for t in t_grid]))
+    for n, (w, vecs) in enumerate(zip(values, vectors)):
         if prev_vecs is None:
             order = np.arange(k)
         else:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lzscatter import cli
+from lzscatter import cli, crossings
 from lzscatter.cli import main
 from lzscatter.laxflow import smatrix_spin
 from lzscatter.models import model_from_descriptor
@@ -261,4 +261,20 @@ def test_internal_error_exit_3_writes_no_record(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert err.startswith("internal error: KeyError: ")
     assert "missing table entry" in err
+    assert not ledger.exists()
+
+
+def test_negative_probability_exit_1_writes_no_record(tmp_path, capsys, monkeypatch):
+    # a computed matrix below the clamp floor breaks an invariant: exit 1,
+    # not the exit 2 of bad input
+    bad = np.array([[1.5, -0.5, 0.0], [-0.5, 1.5, 0.0], [0.0, 0.0, 1.0]])
+    monkeypatch.setattr(cli, "_crossings_schedule", lambda model: [None])
+    monkeypatch.setattr(crossings, "local_smatrix", lambda event, k: bad)
+    ledger = tmp_path / "l.jsonl"
+    code, _, err = run(
+        capsys, "smatrix", "--family", "bowtie3", "--delta", "0.3", "--slope", "1",
+        "--eps", "1", "--method", "crossings", "--ledger", str(ledger),
+    )
+    assert code == 1
+    assert err.startswith("FAIL: probability entry -5.000e-01 below clamp floor")
     assert not ledger.exists()

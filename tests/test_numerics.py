@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from lzscatter.numerics import (
     IntegrationDivergedError,
     NonHermitianError,
     OdeSettings,
+    _expmi,
     commutator,
     hermitian_eigs,
     propagate_unitary,
@@ -126,3 +128,33 @@ def test_magnus_divergence_reports_last_time():
         propagate_unitary(lambda t: SIGMA1 / (1.0 - t) ** 2, 0.0, 2.0,
                           OdeSettings(rtol=1e-10, atol=1e-12))
     assert 0.9 < err.value.last_t <= 1.05
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_affine_pair_matches_callable(dim, seed, backward):
+    # the closed-form generator of H = A + tB against sampling H(t)
+    rng = np.random.default_rng(seed)
+    a = _random_hamiltonian(dim, seed)
+    b = np.diag(rng.uniform(-2.0, 2.0, size=dim)).astype(complex)
+    t0, t1 = (3.0, -3.0) if backward else (-3.0, 3.0)
+    settings_ = OdeSettings(rtol=1e-8, atol=1e-10)
+    u_pair = propagate_unitary((a, b), t0, t1, settings_)
+    u_call = propagate_unitary(lambda t: a + t * b, t0, t1, settings_)
+    assert np.abs(u_pair - u_call).max() <= 10 * settings_.rtol
+
+
+def test_affine_pair_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="mismatch"):
+        propagate_unitary((np.eye(2), np.eye(3)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="square"):
+        propagate_unitary((np.ones((2, 3)), np.eye(2)), 0.0, 1.0)
+
+
+def test_stacked_expmi_matches_single_exponentials():
+    stack = np.stack([_random_hamiltonian(5, seed) for seed in range(3)])
+    stacked = _expmi(stack)
+    for m, u in zip(stack, stacked):
+        assert np.abs(u - _expmi(m)).max() <= 1e-14
+        assert np.abs(u - expm(-1j * m)).max() <= 1e-12
+        assert unitarity_defect(u) <= 1e-14

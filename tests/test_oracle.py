@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from lzscatter.laxflow import lz_closed_form
 from lzscatter.models import build_model
@@ -79,6 +80,28 @@ def test_numeric_smatrix_flags_unconverged_horizon():
     assert not result.converged
     assert result.error_estimate > 0.1
     assert result.s_num.shape == (2, 2)
+
+
+def test_numeric_smatrix_nested_matches_independent_horizons():
+    # the nested propagation against three separate sweeps of [-T_n, T_n]
+    tight = OdeSettings(rtol=1e-10, atol=1e-12)
+    m = build_model("bowtie3", delta=0.3, slope=1.0, eps=-0.8)
+    t_final = 40.0
+    mats = [
+        np.abs(propagate(m, t_final=t, settings=tight)) ** 2
+        for t in (0.5 * t_final, t_final / math.sqrt(2.0), t_final)
+    ]
+    spread = max(np.abs(mats[0] - mats[2]).max(), np.abs(mats[1] - mats[2]).max())
+    result = numeric_smatrix(m, t_final=t_final, settings=tight)
+    assert np.abs(result.s_num - mats[2]).max() <= 1e-7
+    assert abs(result.error_estimate - spread) <= 1e-7
+
+
+@pytest.mark.parametrize("t_final", [0.0, -10.0])
+def test_numeric_smatrix_validates_horizon(t_final):
+    m = build_model("lz2", delta=1.0, slope=1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        numeric_smatrix(m, t_final=t_final)
 
 
 def test_oracle_against_closed_form():
@@ -205,6 +228,47 @@ def test_spectrum_fallback_at_ambiguous_overlap():
     curves, flags = adiabatic_spectrum(stub, np.array([-1.0, 1.0]))
     assert flags[1]
     assert list(curves[1]) == sorted(curves[1])
+
+
+def _spectrum_per_point(model, t_grid):
+    # reference: one eigendecomposition per grid point, same assignment rule
+    curves = np.empty((t_grid.size, model.k))
+    flags = np.zeros(t_grid.size, dtype=bool)
+    prev_vecs = None
+    for n, t in enumerate(t_grid):
+        w, vecs = np.linalg.eigh(model.hamiltonian(t))
+        order = np.arange(model.k)
+        if prev_vecs is not None:
+            overlap = np.abs(prev_vecs.conj().T @ vecs) ** 2
+            rows, cols = linear_sum_assignment(-overlap)
+            order[rows] = cols
+            if overlap[rows, cols].min() < 0.5:
+                order = np.arange(model.k)
+                flags[n] = True
+        curves[n] = w[order]
+        prev_vecs = vecs[:, order]
+    return curves, flags
+
+
+@pytest.mark.parametrize("family, kwargs", [
+    ("su3six", dict(delta=0.2, slope=0.5, eps=0.5)),
+    ("bowtieN", dict(delta=[0.2, 0.3], slope=[0.5, -1.0], eps=0.5)),
+    ("su3adj8", dict(delta=0.2, slope=0.5, eps=0.5)),
+])
+def test_spectrum_stacked_matches_per_point(family, kwargs):
+    # each grid passes an exact degeneracy (su3six and bowtieN at one
+    # point, su3adj8 at every point), where eigenvectors are arbitrary
+    # within the degenerate subspace
+    m = build_model(family, **kwargs)
+    grid = np.linspace(-4.0, 4.0, 33)
+    gaps = np.diff(np.linalg.eigvalsh(np.stack([m.hamiltonian(t) for t in grid])), axis=1)
+    assert gaps.min() < 1e-12
+    curves, flags = adiabatic_spectrum(m, grid)
+    ref_curves, ref_flags = _spectrum_per_point(m, grid)
+    assert np.abs(curves - ref_curves).max() <= 1e-12
+    assert np.array_equal(flags, ref_flags)
+    if family == "su3adj8":
+        assert ref_flags.any()
 
 
 def test_spectrum_csv_shape():
