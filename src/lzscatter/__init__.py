@@ -34,7 +34,6 @@ from .laxflow import (
 )
 from .crossings import (
     CrossingEvent,
-    PathSpec,
     UnsupportedCrossingError,
     compose,
     derive_schedule_generic,
@@ -44,7 +43,7 @@ from .crossings import (
     schedule_json,
     schedule_su3six,
 )
-from .zerocurv import CurvatureReport, curvature_residual, verify_pair
+from .zerocurv import CurvatureReport, curvature_residual, curvature_terms, verify_pair
 from .oracle import (
     OracleResult,
     adiabatic_spectrum,

@@ -41,7 +41,8 @@ _COUPLING_TOL = 1e-12
 # relative tolerance for the structural pattern checks
 _PATTERN_TOL = 1e-6
 
-DEFAULT_R_SCALE = 1e8
+# detour half-width R, formally infinite; finite-R effects scale as 1/R^2
+R_SCALE = 1e8
 # detour height in units of (max diagonal slope) * R
 RAIL_FACTOR = 4.0
 
@@ -105,40 +106,14 @@ class CrossingEvent:
         return out
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """Straight segments of the detour in the (t, eps) plane, in units of R.
-
-    Endpoints must match the undeformed sweep: start at (-1, eps0/R) and
-    end at (+1, eps0/R) so the composite path only reroutes the interior.
-    """
-
-    segments: tuple
-    r_scale: float
-
-    def __post_init__(self):
-        if len(self.segments) < 1:
-            raise ValueError("path needs at least one segment")
-        for (p0, p1) in self.segments:
-            if p0 == p1:
-                raise ValueError("zero-length path segment")
-        for prev, nxt in zip(self.segments, self.segments[1:]):
-            if prev[1] != nxt[0]:
-                raise ValueError("path segments must be contiguous")
-        (t_start, e_start) = self.segments[0][0]
-        (t_end, e_end) = self.segments[-1][1]
-        if e_start != e_end or t_start != -t_end or not t_end > 0:
-            raise ValueError(
-                "path endpoints must match the undeformed sweep: from (-R, eps0) "
-                "to (+R, eps0)"
-            )
-
-
-def default_path(model: AffineModel, r_scale: float = DEFAULT_R_SCALE) -> PathSpec:
+def default_path(model: AffineModel):
     """Rectangular detour: up at t = -R, across, down at t = +R.
 
-    The rail height is RAIL_FACTOR * max|B_ii| * R on the side of the
-    model's nominal eps (the partner pole at eps = 0 is never crossed).
+    Returns the three segments as ``((t0, eps0), (t1, eps1))`` pairs, with
+    R = R_SCALE.  The rail height is RAIL_FACTOR * max|B_ii| * R on the side
+    of the model's nominal eps (the partner pole at eps = 0 is never
+    crossed).  The endpoints (-R, eps0) and (+R, eps0) match the undeformed
+    sweep, so the detour only reroutes the interior.
     """
     eps0 = float(model.eps or 0.0)
     if eps0 == 0.0:
@@ -148,18 +123,13 @@ def default_path(model: AffineModel, r_scale: float = DEFAULT_R_SCALE) -> PathSp
     smax = float(np.abs(np.diag(model.b).real).max())
     if smax == 0.0:
         raise ValueError("model has no sweeping level")
-    rail = math.copysign(RAIL_FACTOR * smax * r_scale, eps0)
-    r = r_scale
-    segs = (
+    r = R_SCALE
+    rail = math.copysign(RAIL_FACTOR * smax * r, eps0)
+    return (
         ((-r, eps0), (-r, rail)),
         ((-r, rail), (r, rail)),
         ((r, rail), (r, eps0)),
     )
-    return PathSpec(segments=segs, r_scale=r_scale)
-
-
-def _two_level_u(exponent: float) -> float:
-    return math.exp(-exponent)
 
 
 def _three_level_block(u: float) -> np.ndarray:
@@ -483,7 +453,7 @@ def _components(levels, edges):
     return [sorted(g) for g in groups.values()]
 
 
-def _classify_cluster(cluster, segment, degenerate, r_scale, counter):
+def _classify_cluster(cluster, segment, degenerate, counter):
     """Turn one crossing cluster into events (coupled blocks + trivial pairs)."""
     tau = cluster["tau"]
     levels = set(cluster["levels"])
@@ -499,7 +469,7 @@ def _classify_cluster(cluster, segment, degenerate, r_scale, counter):
     gmat = segment.generator(tau)
     slopes = segment.diag_slope(tau)
     t_star, e_star = segment.point(tau)
-    loc = (t_star / r_scale, e_star / r_scale)
+    loc = (t_star / R_SCALE, e_star / R_SCALE)
 
     couplings = {}
     cscale = 1.0
@@ -634,24 +604,20 @@ def _reduced_event(comp, gmat, slopes, loc, degenerate, counter):
     )
 
 
-def derive_schedule_generic(model: AffineModel, path: Optional[PathSpec] = None,
-                            r_scale: float = DEFAULT_R_SCALE):
+def derive_schedule_generic(model: AffineModel):
     """Derive the ordered crossing schedule of a partnered model.
 
-    Scans each path segment's generator for intersections of its diagonal
-    entries, groups simultaneous intersections into clusters, classifies
-    every cluster into the supported block kinds and returns the events in
-    path order (ties: smaller blocks first, then lowest level).
+    Scans the generator along each segment of ``default_path`` for
+    intersections of its diagonal entries, groups simultaneous
+    intersections into clusters, classifies every cluster into the
+    supported block kinds and returns the events in path order (ties:
+    smaller blocks first, then lowest level).
     """
     if not model.has_partner:
         model.partner(0.0)  # raises MissingPartnerError
-    if path is None:
-        path = default_path(model, r_scale)
-    else:
-        r_scale = path.r_scale
     raw = []
     index_iter = iter(range(1, 10 ** 9))
-    for p0, p1 in path.segments:
+    for p0, p1 in default_path(model):
         segment = _Segment(model, p0, p1)
         taus = np.linspace(0.0, segment.length, _SEGMENT_SAMPLES)
         samples = np.array([segment.diag(tau) for tau in taus])
@@ -660,7 +626,7 @@ def derive_schedule_generic(model: AffineModel, path: Optional[PathSpec] = None,
         clusters = _cluster_crossings(crossings, segment.length)
         cluster_events = []
         for cluster in clusters:
-            events = _classify_cluster(cluster, segment, degenerate, r_scale, index_iter)
+            events = _classify_cluster(cluster, segment, degenerate, index_iter)
             quantum = _CLUSTER_TOL * segment.length
             tau_key = round(cluster["tau"] / quantum)
             for event in events:

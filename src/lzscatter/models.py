@@ -6,7 +6,9 @@ where one exists, a commuting-flow partner ``E(t, eps) = E0(eps) + t E1``
 used by the zero-curvature verifier and the path-deformation engine.
 
 Every family is stored as constant coefficient matrices of one Laurent
-layout, and this module is the only one that knows it:
+layout.  This module builds and evaluates it, and
+``zerocurv.curvature_terms`` is the one other reader (it expands the
+zero-curvature residual in the same coefficients):
 
     A(eps)  = a0 + eps a1
     E0(eps) = e_inv / eps + e_0 + eps e_eps

@@ -54,23 +54,19 @@ class IntegrationDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class OdeSettings:
-    """Tolerances and limits for the adaptive propagator.
+    """Tolerances for the adaptive propagator.
 
     rtol, atol : local error tolerances, both constrained to (0, 1e-2]
-    max_step   : largest step the driver may take, in time units
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = np.inf
 
     def __post_init__(self):
         for name in ("rtol", "atol"):
             tol = getattr(self, name)
             if not (0.0 < tol <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
 
 
 def _as_complex_square(m, name="matrix"):
@@ -95,6 +91,20 @@ def hermiticity_defect(m):
     return float(np.abs(m - m.conj().T).max())
 
 
+def _require_hermitian(m, name="matrix", tol=1e-12):
+    # eigh reads one triangle only, so a non-Hermitian input would be
+    # silently replaced by a different, Hermitian matrix
+    m = _as_complex_square(m, name)
+    scale = float(np.abs(m).max())
+    defect = hermiticity_defect(m)
+    if defect > tol * max(scale, 1e-300):
+        raise NonHermitianError(
+            f"{name} is not Hermitian: max|M - M^dag| = {defect:.3e} "
+            f"exceeds {tol:.1e} * max|M| = {tol * scale:.3e}"
+        )
+    return m
+
+
 def hermitian_eigs(m, tol=1e-12):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -102,15 +112,7 @@ def hermitian_eigs(m, tol=1e-12):
     eigenvector columns ``v``.  Rejects input whose Hermiticity defect
     exceeds ``tol * max|m|``, naming the offending deviation.
     """
-    m = _as_complex_square(m)
-    scale = float(np.abs(m).max())
-    defect = hermiticity_defect(m)
-    if defect > tol * max(scale, 1e-300):
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
-            f"exceeds {tol:.1e} * max|M| = {tol * scale:.3e}"
-        )
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(_require_hermitian(m, tol=tol))
     return w, v
 
 
@@ -136,7 +138,7 @@ def _step_generators(hfun, t0):
     ``[t + h/2, t + h]``, in that order.
     """
     if callable(hfun):
-        n = _as_complex_square(hfun(t0), "H(t0)").shape[0]
+        n = _require_hermitian(hfun(t0), "H(t0)").shape[0]
 
         def generators(t, h):
             return np.stack((
@@ -146,7 +148,8 @@ def _step_generators(hfun, t0):
             ))
 
         return n, generators
-    a, b = hfun
+    a = _require_hermitian(hfun[0], "A")
+    b = _require_hermitian(hfun[1], "B")
     # rows A, B, [A, B] (commutator validates the shapes); each generator
     # is one complex combination of the three
     c = commutator(a, b)
@@ -178,7 +181,9 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     and two half-step generators as one stacked ``eigh``.  Every update is
     an exact exponential of a Hermitian generator, so the result is unitary
     to roundoff regardless of tolerance; the tolerances control
-    phase/transition accuracy only.
+    phase/transition accuracy only.  ``A`` and ``B``, or the callable's
+    ``H(t0)``, are checked once per call by the ``hermitian_eigs`` rule and
+    rejected with ``NonHermitianError``.
     """
     if settings is None:
         settings = OdeSettings()
@@ -193,7 +198,7 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     tol = settings.atol + settings.rtol
     h_floor = _MIN_STEP_FRACTION * abs(span)
     while (t1 - t) * direction > 0.0:
-        h = direction * min(abs(h_prop), settings.max_step)
+        h = h_prop
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
         full, first, second = _expmi(generators(t, h))

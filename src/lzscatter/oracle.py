@@ -31,22 +31,6 @@ class OracleResult:
     unitarity_defect: float
     converged: bool
 
-    def to_json_dict(self, family=None, params=None, rtol=None) -> dict:
-        out = {
-            "T": self.horizon,
-            "matrix": [[float(x) for x in row] for row in self.s_num],
-            "error_estimate": self.error_estimate,
-            "unitarity_defect": self.unitarity_defect,
-            "converged": bool(self.converged),
-        }
-        if family is not None:
-            out["family"] = family
-        if params is not None:
-            out["params"] = params
-        if rtol is not None:
-            out["rtol"] = rtol
-        return out
-
 
 def default_horizon(model: AffineModel, eps=None) -> float:
     """Horizon heuristic 300 * max(1, |eps|, delta^2 / min nonzero slope)."""

@@ -94,7 +94,7 @@ def test_smatrix_unsupported_method(tmp_path, capsys):
     assert "unsupported" in err
 
 
-def test_compare_pass_and_corrupt(tmp_path, capsys):
+def test_compare_pass_and_corrupt(tmp_path, capsys, monkeypatch):
     base = [
         "compare", "--family", "spin", "--k", "2", "--delta", "0.8", "--slope", "1",
         "--methods", "algebraic", "numeric", "--T", "120", "--rtol", "1e-7",
@@ -106,7 +106,18 @@ def test_compare_pass_and_corrupt(tmp_path, capsys):
     assert payload["pass"] is True
     assert payload["pairs"][0]["max_deviation"] < payload["tolerance"]
 
-    code_bad, out_bad, err = run(capsys, *base, "--corrupt")
+    compute = cli.compute_smatrix
+
+    def corrupt_first(model, method, args):
+        # a faulty first route: its matrix is off by 0.05 in one entry
+        matrix, meta = compute(model, method, args)
+        if method == "algebraic":
+            matrix = matrix.copy()
+            matrix[0, 0] += 0.05
+        return matrix, meta
+
+    monkeypatch.setattr(cli, "compute_smatrix", corrupt_first)
+    code_bad, out_bad, err = run(capsys, *base)
     assert code_bad == 1
     assert json.loads(out_bad)["pass"] is False
     assert "FAIL" in err
@@ -152,17 +163,6 @@ def test_zero_curvature_cli(tmp_path, capsys):
     )
     assert code2 == 2
     assert "partner" in err
-
-
-def test_zero_curvature_custom_grid(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "zero-curvature", "--family", "su3adj8",
-        "--delta", "0.2", "--slope", "0.4", "--eps", "1",
-        "--grid", "t=-5,0,5;eps=0.5,2",
-        "--ledger", str(tmp_path / "l.jsonl"),
-    )
-    assert code == 0
-    assert json.loads(out)["pass"] is True
 
 
 def test_sweep_entry_column(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lzscatter.crossings import (
     CrossingEvent,
-    PathSpec,
     compose,
     derive_schedule_generic,
     local_smatrix,
@@ -329,20 +328,6 @@ def test_unsupported_cluster_kinds_are_reported():
     slopes = np.array([0.0, 0.0, -1.0, 1.0])
     with pytest.raises(UnsupportedCrossingError, match="4 mutually coupled"):
         _component_event([0, 1, 2, 3], g4, slopes, loc, {(0, 1)}, counter)
-
-
-def test_pathspec_validation():
-    with pytest.raises(ValueError, match="contiguous"):
-        PathSpec(((( -1.0, 1.0), (-1.0, 2.0)), ((0.0, 2.0), (1.0, 2.0))), 1.0)
-    with pytest.raises(ValueError, match="zero-length"):
-        PathSpec((((0.0, 1.0), (0.0, 1.0)),), 1.0)
-    with pytest.raises(ValueError, match="endpoints"):
-        PathSpec((((-1.0, 1.0), (1.0, 2.0)),), 1.0)
-    # the rectangular detour itself is admissible
-    PathSpec(
-        (((-1.0, 1.0), (-1.0, 4.0)), ((-1.0, 4.0), (1.0, 4.0)), ((1.0, 4.0), (1.0, 1.0))),
-        1.0,
-    )
 
 
 def test_schedule_json_fields():

@@ -29,8 +29,6 @@ def test_settings_validation():
         OdeSettings(rtol=0.1)
     with pytest.raises(ValueError):
         OdeSettings(atol=-1e-9)
-    with pytest.raises(ValueError):
-        OdeSettings(max_step=0.0)
 
 
 def test_commutator_pauli():
@@ -149,6 +147,18 @@ def test_affine_pair_rejects_mismatched_shapes():
         propagate_unitary((np.eye(2), np.eye(3)), 0.0, 1.0)
     with pytest.raises(ValueError, match="square"):
         propagate_unitary((np.ones((2, 3)), np.eye(2)), 0.0, 1.0)
+
+
+def test_propagate_rejects_non_hermitian():
+    # eigh reads one triangle only: without the check this H would be
+    # propagated as the Hermitian [[0, 0], [0, 0]] + t B without an error
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NonHermitianError, match="A is not Hermitian"):
+        propagate_unitary((a, SIGMA3), -5.0, 5.0)
+    with pytest.raises(NonHermitianError, match="B is not Hermitian"):
+        propagate_unitary((SIGMA1, a), -5.0, 5.0)
+    with pytest.raises(NonHermitianError, match=r"H\(t0\) is not Hermitian"):
+        propagate_unitary(lambda t: a + t * SIGMA3, -5.0, 5.0)
 
 
 def test_stacked_expmi_matches_single_exponentials():
