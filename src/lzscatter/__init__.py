@@ -26,9 +26,7 @@ from .laxflow import (
     asymptotic_v3,
     evolve_lax,
     first_row_element,
-    lagrange_projector,
     lz_closed_form,
-    smatrix_from_bloch,
     smatrix_spin,
     stochastic_defect,
 )
@@ -38,6 +36,7 @@ from .crossings import (
     compose,
     derive_schedule_generic,
     local_smatrix,
+    path_counts,
     schedule_bowtie3,
     schedule_bowtieN,
     schedule_json,

@@ -7,7 +7,8 @@ zero-curvature residual of partnered families, and append one record per
 successful invocation to a JSON-lines run ledger.
 
 Exit codes: 0 success, 1 validation failure (an invariant or comparison
-did not hold, including a computed probability below the clamp floor),
+did not hold, including a computed probability below the clamp floor and
+a crossings schedule with more than one event path between two levels),
 2 input error, 3 internal error (an unexpected exception,
 reported as ``internal error: <Class>: <message>``).
 """
@@ -162,8 +163,7 @@ def default_method(family):
 
 
 def _algebraic_smatrix(model: AffineModel):
-    if model.family == "lz2":
-        return laxflow.lz_closed_form(model.delta, model.slope)
+    # lz2 is spin k = 2 (a0 = delta sigma_x, b = diag(a, -a))
     s = laxflow.smatrix_spin(model.k, model.delta, model.slope)
     if model.spin_basis_permutation is not None:
         p = list(model.spin_basis_permutation)
@@ -174,7 +174,7 @@ def _algebraic_smatrix(model: AffineModel):
 def _crossings_schedule(model: AffineModel):
     if model.family == "bowtie3":
         return crossings.schedule_bowtie3(model.delta, model.slope, model.eps)
-    if model.family == "bowtieN":
+    if model.family == "bowtieN" and model.eps > 0:
         return crossings.schedule_bowtieN(model.delta, model.slope, model.eps)
     if model.family == "su3six" and model.eps > 0:
         return crossings.schedule_su3six(model.delta, model.slope, model.eps)
@@ -191,7 +191,9 @@ def compute_smatrix(model: AffineModel, method, args):
         if model.family not in CROSSINGS_FAMILIES:
             raise UsageError(f"method crossings unsupported for family {model.family!r}")
         schedule = _crossings_schedule(model)
-        return crossings.compose(schedule, model.k), {"events": len(schedule)}
+        matrix = crossings.compose(schedule, model.k)
+        _check_single_paths(crossings.path_counts(schedule, model.k))
+        return matrix, {"events": len(schedule)}
     if method == "numeric":
         result = oracle.numeric_smatrix(
             model, t_final=args.T, settings=_settings(args)
@@ -213,6 +215,17 @@ def _check_stochastic(matrix):
             f"scattering matrix violates double stochasticity: defect {defect:.3e}"
         )
     return defect
+
+
+def _check_single_paths(counts):
+    multi = np.argwhere(counts > 1)
+    if multi.size:
+        entries = ", ".join(f"({i + 1},{j + 1})" for i, j in multi)
+        raise ValidationFailure(
+            f"crossings route: entries {entries} are reached by more than one "
+            "path of crossing events, whose interference the product of "
+            "probability blocks drops; use --method numeric"
+        )
 
 
 def cmd_model_show(args):

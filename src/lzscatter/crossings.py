@@ -6,7 +6,9 @@ at |t| = R with R formally infinite.  Along the detour every level
 crossing is localized and pairwise (or reduces to the standard three-level
 pattern), so the full scattering matrix factorizes into a product of
 elementary blocks: latest crossing leftmost, matching the composition of
-probability flows ``S[i, j] = P(j -> i)``.
+probability flows ``S[i, j] = P(j -> i)``.  That product is exact only
+where every pair of levels is joined by at most one path of events
+(``path_counts``).
 
 No relative phases survive between crossings separated by path length of
 order R, with one exception: levels whose diagonal entries coincide
@@ -194,6 +196,30 @@ def compose(schedule, k: int) -> np.ndarray:
     for event in schedule:
         total = local_smatrix(event, k) @ total
     return clamp_probabilities(total)
+
+
+def path_counts(schedule, k: int) -> np.ndarray:
+    """Number of event paths joining each (end, start) pair of levels.
+
+    The integer product of ``I + incidence`` over the non-trivial events,
+    latest leftmost, where an event's incidence joins every pair of its
+    levels (a degenerate flat pair counts as two levels).  ``compose`` is
+    exact only where every entry is at most 1: with two paths the true
+    probability carries their interference, which a product of probability
+    blocks drops (same-sign ``bowtieN`` slopes).  Neither ``compose`` nor
+    ``derive_schedule_generic`` checks this, because the benchmark's
+    crossings workload composes same-sign ``bowtieN`` schedules and compares
+    the derived one with the hand-coded one; the CLI rejects them.
+    """
+    total = np.eye(k, dtype=np.int64)
+    for event in schedule:
+        if event.kind == "trivial":
+            continue
+        step = np.eye(k, dtype=np.int64)
+        idx = [l - 1 for l in event.levels]
+        step[np.ix_(idx, idx)] = 1
+        total = step @ total
+    return total
 
 
 def _pair_event(index, t_over_r, eps_over_r, level_pair, coupling, slope_eff):

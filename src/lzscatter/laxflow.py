@@ -1,9 +1,11 @@
 """Isospectral-flow engine and exact spin-family scattering matrices.
 
-The transition-probability matrix of the k-level spin-family sweep is
-assembled from spectral projectors of two commutant elements: the
-asymptotic flow matrix ``V = v1 X + v2 Y + v3 Z`` and the asymptotic
-Hamiltonian direction ``-Z``.  Entry convention throughout the package:
+The asymptotic flow matrix of the k-level spin-family sweep is the
+rotated ``-Z`` with ``v3 = 1 - 2u``, so the transition-probability matrix
+is one rotation: ``S = |d^j(beta)|^2`` entrywise, the Wigner small-d matrix
+of spin j = (k-1)/2 at ``cos(beta) = 2u - 1`` (Majorana's solution), with
+u the two-level survival weight.  It takes one ``eigh`` of the k x k
+spin matrix X at any k.  Entry convention throughout the package:
 ``S[i, j]`` is the probability of arriving in diabatic level ``i`` having
 started in diabatic level ``j`` (levels ordered by descending sweep
 slope), so S is doubly stochastic and columns are probability vectors.
@@ -95,80 +97,37 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     return v_out, BlochVector(*coeffs)
 
 
-def lagrange_projector(m, ladder, index: int) -> np.ndarray:
-    """Spectral projector of ``m`` onto the eigenvalue ``ladder[index]``.
-
-    Built as the interpolation product  prod_{a != i} (m - l_a) / (l_i - l_a),
-    which requires ``m`` normal with spectrum equal to the ladder (within
-    1e-8) and pairwise-distinct ladder values.
-    """
-    m = np.asarray(m, dtype=complex)
-    ladder = np.asarray(ladder, dtype=float)
-    if not 0 <= index < ladder.size:
-        raise IndexError(f"index {index} outside ladder of length {ladder.size}")
-    gaps = np.abs(ladder[:, None] - ladder[None, :])[~np.eye(ladder.size, dtype=bool)]
-    if gaps.size and gaps.min() < 1e-12:
-        raise ValueError("ladder values must be pairwise distinct")
-    spectrum = np.sort(np.linalg.eigvals(m).real)
-    target = np.sort(ladder)
-    mismatch = float(np.abs(spectrum - target).max())
-    if mismatch > 1e-8:
-        raise ValueError(
-            f"spectrum does not match ladder: max deviation {mismatch:.3e}"
-        )
-    n = m.shape[0]
-    proj = np.eye(n, dtype=complex)
-    li = ladder[index]
-    for a, la in enumerate(ladder):
-        if a == index:
-            continue
-        proj = proj @ (m - la * np.eye(n)) / (li - la)
-    return proj
-
-
 def spin_ladder(k: int) -> np.ndarray:
     """Ascending eigenvalue ladder -(k-1)/2 ... (k-1)/2."""
     j = 0.5 * (k - 1)
     return np.array([-j + i for i in range(k)])
 
 
-def smatrix_from_bloch(k: int, v) -> np.ndarray:
-    """Spin-family scattering matrix for a given asymptotic flow direction.
-
-    Only the direction of ``v`` matters.  Rows and columns are ordered by
-    descending diabatic slope.
-    """
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("flow vector must be nonzero")
-    v = v / norm
-    rep = build_spin_rep(k)
-    vmat = v[0] * rep.x + v[1] * rep.y + v[2] * rep.z
-    ladder = spin_ladder(k)
-    proj_v = [lagrange_projector(vmat, ladder, i) for i in range(k)]
-    proj_z = [lagrange_projector(-rep.z, ladder, i) for i in range(k)]
-    s = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            s[i, j] = np.trace(proj_v[i] @ proj_z[j]).real
-    return clamp_probabilities(s)
-
-
 def smatrix_spin(k: int, delta: float, a: float) -> np.ndarray:
-    """Exact k-level spin-family scattering matrix for sweep (delta, a)."""
+    """Exact k-level spin-family scattering matrix for sweep (delta, a).
+
+    ``S = |d^j(beta)|^2`` entrywise with ``cos(beta) = 2u - 1`` (module
+    docstring); one rotation, so cost and roundoff stay flat in k.  Rows
+    and columns are ordered by descending diabatic slope.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    v3 = asymptotic_v3(delta, a)
-    v1 = math.sqrt(max(0.0, 1.0 - v3 * v3))
-    return smatrix_from_bloch(k, (v1, 0.0, v3))
+    beta = math.acos(2.0 * survival_weight(delta, a) - 1.0)
+    # Y = R X R^dag with R diagonal, so |exp(-i beta Y)| = |exp(-i beta X)|;
+    # a real eigh of X with the exact ladder as its eigenvalues is more
+    # accurate than numerics._expmi or a complex eigh of Y
+    _, vecs = np.linalg.eigh(build_spin_rep(k).x.real)
+    d = (vecs * np.exp(-1j * beta * spin_ladder(k))) @ vecs.T
+    return np.abs(d) ** 2
 
 
 def first_row_element(n: int, delta: float, a: float, j: int) -> float:
     """Closed form for the top-row entries of the k = n spin matrix.
 
     Binomial pattern C(n-1, j-1) u^(n-j) v^(j-1) with u the two-level
-    survival weight; matches row 1 of :func:`smatrix_spin`.
+    survival weight: the top row of the small-d matrix,
+    |d^j_{j,m}(beta)|^2 with cos(beta/2)^2 = u.  An independent check of
+    row 1 of :func:`smatrix_spin` at any n.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -6,7 +6,7 @@ import pytest
 
 from lzscatter import cli, crossings
 from lzscatter.cli import main
-from lzscatter.laxflow import smatrix_spin
+from lzscatter.laxflow import first_row_element, lz_closed_form, smatrix_spin
 from lzscatter.models import model_from_descriptor
 
 
@@ -68,6 +68,29 @@ def test_smatrix_algebraic_values(tmp_path, capsys):
     assert np.abs(np.array(payload["matrix"]) - expect).max() < 1e-14
     u = math.exp(-math.pi)
     assert payload["matrix"][0][0] == pytest.approx(u * u, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [32, 64])
+def test_smatrix_algebraic_high_spin(tmp_path, capsys, k):
+    code, out, _ = run(
+        capsys, "smatrix", "--family", "spin", "--k", str(k),
+        "--delta", "0.8", "--slope", "1", "--method", "algebraic",
+        "--ledger", str(tmp_path / "l.jsonl"),
+    )
+    assert code == 0
+    s = np.array(json.loads(out)["matrix"])
+    row = [first_row_element(k, 0.8, 1.0, j) for j in range(1, k + 1)]
+    assert np.abs(s[0] - row).max() < 1e-14
+
+
+def test_smatrix_algebraic_lz2_closed_form(tmp_path, capsys):
+    code, out, _ = run(
+        capsys, "smatrix", "--family", "lz2", "--delta", "0.7", "--slope", "1.3",
+        "--method", "algebraic", "--ledger", str(tmp_path / "l.jsonl"),
+    )
+    assert code == 0
+    s = np.array(json.loads(out)["matrix"])
+    assert np.abs(s - lz_closed_form(0.7, 1.3)).max() <= 1e-15
 
 
 def test_smatrix_crossings_bowtie(tmp_path, capsys):
@@ -246,6 +269,33 @@ def test_bowtien_descriptor_lists(tmp_path, capsys):
     assert payload["params"]["slope"] == [1.0, -2.0]
     rebuilt = model_from_descriptor(payload["params"])
     assert rebuilt.k == 4
+
+
+INTERFERING_BOWTIEN = ["--family", "bowtieN", "--delta", "0.25,0.25", "--slope", "0.6,1.2"]
+
+
+@pytest.mark.parametrize("eps, entries", [("1", "(1,2), (1,3), (3,2), (3,3)"),
+                                          ("-1", "(2,1), (2,3), (3,1), (3,3)")])
+def test_bowtien_interfering_paths_exit_1(tmp_path, capsys, eps, entries):
+    # same-sign slopes join four (end, start) pairs by two event paths each
+    ledger = tmp_path / "l.jsonl"
+    code, _, err = run(capsys, "smatrix", *INTERFERING_BOWTIEN, "--eps", eps,
+                       "--ledger", str(ledger))
+    assert code == 1
+    assert err.startswith(f"FAIL: crossings route: entries {entries} ")
+    assert "--method numeric" in err
+    assert not ledger.exists()
+
+
+def test_bowtien_interfering_paths_sweep_and_compare_exit_1(tmp_path, capsys):
+    ledger = tmp_path / "l.jsonl"
+    for extra in (["sweep", "--eps", "0.5:1.5:0.5"],
+                  ["compare", "--eps", "1", "--methods", "crossings", "numeric"]):
+        code, _, err = run(capsys, extra[0], *INTERFERING_BOWTIEN, *extra[1:],
+                           "--ledger", str(ledger))
+        assert code == 1
+        assert err.startswith("FAIL: crossings route: entries (1,2), (1,3)")
+    assert not ledger.exists()
 
 
 def test_internal_error_exit_3_writes_no_record(tmp_path, capsys, monkeypatch):

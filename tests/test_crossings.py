@@ -10,6 +10,7 @@ from lzscatter.crossings import (
     compose,
     derive_schedule_generic,
     local_smatrix,
+    path_counts,
     schedule_bowtie3,
     schedule_bowtieN,
     schedule_json,
@@ -224,6 +225,23 @@ def test_compose_bowtieN_against_oracle():
     assert np.abs(s - np.abs(u) ** 2).max() < 2e-2
 
 
+def test_path_counts():
+    # at most one event path per (end, start) pair where the product is exact
+    assert np.array_equal(path_counts(schedule_bowtie3(0.3, 1.0, 1.0), 3),
+                          [[1, 1, 1], [0, 1, 1], [1, 1, 1]])
+    assert path_counts(schedule_bowtie3(0.3, 1.0, -1.0), 3).max() == 1
+    assert path_counts(schedule_su3six(0.2, 0.4, 1.0), 6).max() == 1
+    opposite = schedule_bowtieN([0.25, 0.25], [0.6, -1.2], 1.0)
+    assert np.array_equal(path_counts(opposite, 4), np.ones((4, 4)))
+    # same-sign slopes: level 2 reaches level 3 directly or through 4 and 1
+    same = schedule_bowtieN([0.25, 0.25], [0.6, 1.2], 1.0)
+    assert np.array_equal(path_counts(same, 4),
+                          [[1, 2, 2, 1], [0, 1, 1, 1], [1, 2, 2, 1], [1, 1, 1, 1]])
+    # trivial events open no path
+    uncoupled = schedule_bowtieN([0.0, 0.0], [0.6, 1.2], 1.0)
+    assert np.array_equal(path_counts(uncoupled, 4), np.eye(4))
+
+
 def test_oracle_pins_composition_orientation():
     # starting in level 2 can reach level 1 through the sweeping level,
     # but level 1 cannot reach level 2: S[0, 1] > 0 and S[1, 0] ~ 0
@@ -292,6 +310,10 @@ def test_generic_su3adj8_structure():
             assert e.exponent == pytest.approx(2 * math.pi * 0.04 / 0.4, rel=1e-9)
     s = compose(events, 8)
     assert stochastic_defect(s) < 1e-12
+    assert path_counts(events, 8).max() == 1
+    # the reduced event joins its flat pair too
+    idx = [l - 1 for l in reduced[0].levels]
+    assert np.array_equal(path_counts(reduced, 8)[np.ix_(idx, idx)], np.ones((4, 4)))
 
 
 def test_generic_su3six_negative_eps():
@@ -301,6 +323,7 @@ def test_generic_su3six_negative_eps():
     events = derive_schedule_generic(m)
     assert [e.kind for e in events].count("three-level") == 2
     assert all(e.eps_over_r < 0 for e in events)
+    assert path_counts(events, 6).max() == 1
     s = compose(events, 6)
     u = propagate(m, t_final=200.0, settings=OdeSettings(rtol=1e-7, atol=1e-9))
     assert np.abs(s - np.abs(u) ** 2).max() < 1e-2
