@@ -79,6 +79,8 @@ def _parse_range(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"cannot parse range {text!r}: {exc}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise UsageError(f"range must be finite, got {text!r}")
     if step <= 0:
         raise UsageError("range step must be positive")
     # exclusive stop with a roundoff guard so 0.2:0.8:0.2 yields 3 values
@@ -210,7 +212,8 @@ def compute_smatrix(model: AffineModel, method, args):
 
 def _check_stochastic(matrix):
     defect = laxflow.stochastic_defect(matrix)
-    if defect > STOCHASTIC_TOL:
+    # a NaN defect fails too
+    if not defect <= STOCHASTIC_TOL:
         raise ValidationFailure(
             f"scattering matrix violates double stochasticity: defect {defect:.3e}"
         )

@@ -371,7 +371,8 @@ def build_model(family, delta=None, slope=None, eps=None, k=None, partner_b=None
 
     ``delta``/``slope`` are scalars except for bowtieN, which takes equal
     length lists; ``eps`` is required for the bow-tie-type families; ``k``
-    only applies to the spin family.  ``partner_b`` (su3six only) replaces
+    only applies to the spin family.  A non-finite ``delta``, ``slope`` or
+    ``eps`` raises ``ValueError``.  ``partner_b`` (su3six only) replaces
     the sweep rate in one partner coupling, which breaks zero curvature on
     purpose for any value other than ``slope``.
     """
@@ -385,6 +386,9 @@ def build_model(family, delta=None, slope=None, eps=None, k=None, partner_b=None
         raise ValueError(f"family {family!r} requires eps")
     if partner_b is not None and family != "su3six":
         raise ValueError(f"partner_b applies to su3six only, not {family!r}")
+    for name, value in (("delta", delta), ("slope", slope), ("eps", eps)):
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value}")
 
     if family == "lz2":
         return _build_lz2(delta, slope)

@@ -11,16 +11,30 @@ hundred time units.
 
 The propagator takes either a callable ``H(t)`` or a pair ``(A, B)``
 standing for the affine ``H(t) = A + t B`` of every catalog family.  For
-the pair ``[H(t1), H(t2)] = (t2 - t1) [A, B]``, so the fourth-order Magnus
-generator of a step ``[t, t + h]`` is exactly
+the pair ``[H(t1), H(t2)] = (t2 - t1) [A, B]``, and the Magnus series of a
+step ``[t, t + h]`` truncated at sixth order (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470, 151 (2009), their Omega^[6] with alpha_3 = 0) is exactly
 
-    h A + h t_mid B + (i h^3 / 12) [A, B],    t_mid = t + h / 2,
+    h A + h t_m B + (i h^3 / 12) C + (h^5 / 240) [B, C]
+        + (i h^5 / 720) ([A, [A, C]] + 2 t_m [B, [A, C]] + t_m^2 [B, [B, C]]),
 
-with ``[A, B]`` computed once per propagation and no ``H(t)`` evaluated.
+with ``C = [A, B]`` and ``t_m = t + h / 2``; Jacobi with ``[C, C] = 0``
+gives ``[A, [B, C]] = [B, [A, C]]``.  The seven Hermitian matrices ``A, B,
+iC, [B, C], i[A, [A, C]], i[B, [A, C]], i[B, [B, C]]`` are formed once per
+propagation, every step generator is one real combination of them, and no
+``H(t)`` is evaluated.  A callable keeps the fourth-order two-point Gauss
+generator: sixth order would need a third sample of ``H`` and nested
+commutators of the samples at every step.
+
 Each step exponentiates its three generators (the full step and its two
-halves, for step-doubling error control) as one stack in a single
-``eigh`` call: at dimensions up to 8 the per-call overhead, not the
-arithmetic, is what costs.
+halves) as one stack in a single ``eigh`` call: at dimensions up to 8 the
+per-call overhead, not the arithmetic, is what costs.  The step-doubling
+error estimate is the Richardson one, ``|U_half - U_full| / (2^p - 1)`` for
+a generator of order p.  It is faithful only while a step turns the
+relative phase of the levels that ``[A, B]`` couples by less than 2 pi;
+beyond that the full and half-step propagators can agree while both are
+wrong.  So a pair-form step is also capped at ``h g(t_m) <= 2 pi``, with
+the gap ``g`` estimated from the basis as ``(|[H, [H, C]]| / |C|)^(1/2)``.
 """
 
 from __future__ import annotations
@@ -30,8 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT3 = np.sqrt(3.0)
-# coefficient of h^3 [A, B] in the affine fourth-order Magnus generator
-_I12 = 1j / 12.0
+
+# largest h * g of a pair-form step, g the level gap that [A, B] couples:
+# beyond one relative phase turn of the coupled levels per step the full
+# and half-step propagators can agree while both are wrong, and step
+# doubling under-reported the error by up to 10^4 (rtol 1e-6, five families)
+_MAX_STEP_PHASE = 2.0 * np.pi
 
 # smallest step fraction before the adaptive driver declares divergence
 _MIN_STEP_FRACTION = 1e-12
@@ -95,6 +113,8 @@ def _require_hermitian(m, name="matrix", tol=1e-12):
     # eigh reads one triangle only, so a non-Hermitian input would be
     # silently replaced by a different, Hermitian matrix
     m = _as_complex_square(m, name)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
     scale = float(np.abs(m).max())
     defect = hermiticity_defect(m)
     if defect > tol * max(scale, 1e-300):
@@ -109,8 +129,9 @@ def hermitian_eigs(m, tol=1e-12):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``.  Rejects input whose Hermiticity defect
-    exceeds ``tol * max|m|``, naming the offending deviation.
+    eigenvector columns ``v``.  Rejects input with a non-finite entry
+    (``ValueError``) or whose Hermiticity defect exceeds ``tol * max|m|``
+    (``NonHermitianError``, naming the offending deviation).
     """
     w, v = np.linalg.eigh(_require_hermitian(m, tol=tol))
     return w, v
@@ -132,10 +153,13 @@ def _magnus_generator(hfun, t, h):
 
 
 def _step_generators(hfun, t0):
-    """Dimension ``n`` and a map ``(t, h) -> (3, n, n)`` of step generators.
+    """Dimension ``n``, a map ``(t, h) -> (3, n, n)``, the order, a step cap.
 
     The stack holds the generators of ``[t, t + h]``, ``[t, t + h/2]`` and
-    ``[t + h/2, t + h]``, in that order.
+    ``[t + h/2, t + h]``, in that order.  A callable gets the fourth-order
+    Gauss generator, a pair ``(A, B)`` the sixth-order closed form.  The
+    cap maps a step midpoint to the largest step allowed there: ``2 pi``
+    over the coupled gap for the pair, unbounded for a callable.
     """
     if callable(hfun):
         n = _require_hermitian(hfun(t0), "H(t0)").shape[0]
@@ -147,49 +171,82 @@ def _step_generators(hfun, t0):
                 _magnus_generator(hfun, t + 0.5 * h, 0.5 * h),
             ))
 
-        return n, generators
+        return n, generators, 4, lambda t: np.inf
     a = _require_hermitian(hfun[0], "A")
     b = _require_hermitian(hfun[1], "B")
-    # rows A, B, [A, B] (commutator validates the shapes); each generator
-    # is one complex combination of the three
+    # commutator validates the shapes; the basis holds seven Hermitian
+    # matrices and each generator is one real combination of them, formed
+    # on the float view of the basis
     c = commutator(a, b)
+    bc = commutator(b, c)
+    ac = commutator(a, c)
     n = c.shape[0]
-    basis = np.stack((a, b, c)).reshape(3, n * n)
+    basis = np.stack((
+        a, b, 1j * c, bc, 1j * commutator(a, ac), 1j * commutator(b, ac), 1j * commutator(b, bc),
+    )).reshape(7, n * n)
+    basis_re = basis.view(float)
+
+    def row(step, mid):
+        # coefficients of the generator of [mid - step/2, mid + step/2]
+        h5 = step ** 5 / 720.0
+        return (step, step * mid, step ** 3 / 12.0, 3.0 * h5, h5, 2.0 * h5 * mid, h5 * mid * mid)
 
     def generators(t, h):
         half = 0.5 * h
-        coef = np.array([
-            (h, h * (t + half), _I12 * h ** 3),
-            (half, half * (t + 0.25 * h), _I12 * half ** 3),
-            (half, half * (t + 0.75 * h), _I12 * half ** 3),
-        ])
-        return (coef @ basis).reshape(3, n, n)
+        coef = np.array((
+            row(h, t + half),
+            row(half, t + 0.5 * half),
+            row(half, t + 1.5 * half),
+        ))
+        return (coef @ basis_re).view(complex).reshape(3, n, n)
 
-    return n, generators
+    # the gap g(t) is estimated as (|[H, [H, C]]| / |C|)^(1/2) (Frobenius,
+    # H = H(t)); |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of
+    # the last three basis rows
+    last = basis[4:]
+    gram = (last.conj() @ last.T).real
+    quartic = (gram[2, 2], 4.0 * gram[1, 2], 4.0 * gram[1, 1] + 2.0 * gram[0, 2],
+               4.0 * gram[0, 1], gram[0, 0])
+    c_sq = float(np.vdot(c, c).real)
+
+    def max_step(t):
+        q = quartic[0]
+        for coef in quartic[1:]:
+            q = q * t + coef
+        return _MAX_STEP_PHASE * (c_sq / q) ** 0.25 if q > 0.0 else np.inf
+
+    return n, generators, 6, max_step
 
 
 def propagate_unitary(hfun, t0, t1, settings=None):
     """Propagator ``U(t1, t0)`` of ``i dU/dt = H(t) U`` for Hermitian H(t).
 
     ``hfun`` is either a callable ``H(t)`` or a pair ``(A, B)`` meaning
-    ``H(t) = A + t B``.  For the pair the fourth-order Magnus generator of a
-    step ``h`` at midpoint ``t_mid`` is the closed form
-    ``h A + h t_mid B + (i h^3 / 12) [A, B]``, with the commutator formed
-    once per call; a callable is sampled at the two Gauss points of every
-    step.  Both forms run through one adaptive stepping loop with
-    step-doubling error control, and each step exponentiates its full-step
-    and two half-step generators as one stacked ``eigh``.  Every update is
-    an exact exponential of a Hermitian generator, so the result is unitary
-    to roundoff regardless of tolerance; the tolerances control
-    phase/transition accuracy only.  ``A`` and ``B``, or the callable's
-    ``H(t0)``, are checked once per call by the ``hermitian_eigs`` rule and
-    rejected with ``NonHermitianError``.
+    ``H(t) = A + t B``.  The pair gets the sixth-order Magnus generator in
+    closed form (module docstring), a real combination of seven matrices
+    formed once per call; a callable is sampled at the two Gauss points of
+    every step for the fourth-order generator.  Both forms run through one
+    adaptive stepping loop with step-doubling error control (Richardson
+    divisor ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p), and
+    each step exponentiates its full-step and two half-step generators as
+    one stacked ``eigh``.  A pair-form step is also kept below one turn of
+    the relative phase of the levels ``[A, B]`` couples, where the error
+    estimate stops being faithful.  Every update is an exact exponential of
+    a Hermitian generator, so the result is unitary to roundoff regardless
+    of tolerance; the tolerances control phase/transition accuracy only.
+    ``A`` and ``B``, or the callable's ``H(t0)``, are checked once per call
+    by the ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``.
     """
     if settings is None:
         settings = OdeSettings()
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if t0 == t1:
         raise ValueError("t0 and t1 must differ")
-    n, generators = _step_generators(hfun, t0)
+    n, generators, order, max_step = _step_generators(hfun, t0)
+    # Richardson: the two half steps carry 2^-order of the full step's error
+    divisor = 2.0 ** order - 1.0
+    exponent = 1.0 / (order + 1)
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
     u = np.eye(n, dtype=complex)
@@ -201,15 +258,18 @@ def propagate_unitary(hfun, t0, t1, settings=None):
         h = h_prop
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
+        h_max = max_step(t + 0.5 * h)
+        if abs(h) > h_max:
+            h = h_max * direction
         full, first, second = _expmi(generators(t, h))
         half = second @ first
-        err = float(np.abs(half - full).max()) / 15.0
+        err = float(np.abs(half - full).max()) / divisor
         if err <= tol:
             u = half @ u
             t = t + h
-            h_prop = h * min(2.5, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2))
+            h_prop = h * min(2.5, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** exponent))
         else:
-            h_prop = h * max(0.1, 0.9 * (tol / err) ** 0.2)
+            h_prop = h * max(0.1, 0.9 * (tol / err) ** exponent)
             if abs(h_prop) < h_floor:
                 raise IntegrationDivergedError(
                     f"magnus step underflow at t = {t!r}", t

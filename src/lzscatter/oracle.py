@@ -47,8 +47,8 @@ def default_horizon(model: AffineModel, eps=None) -> float:
 def _horizon(model, eps, t_final):
     if t_final is None:
         t_final = default_horizon(model, eps)
-    if not t_final > 0:
-        raise ValueError(f"horizon must be positive, got {t_final}")
+    if not 0 < t_final < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {t_final}")
     return t_final
 
 

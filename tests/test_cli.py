@@ -70,6 +70,36 @@ def test_smatrix_algebraic_values(tmp_path, capsys):
     assert payload["matrix"][0][0] == pytest.approx(u * u, rel=1e-12)
 
 
+def small_d_squared(k, u):
+    # |d^j_{m'm}(beta)|^2 by Wigner's sum formula, j = (k - 1)/2,
+    # cos(beta/2)^2 = u; row p is m' = j - p, column q is m = j - q
+    c, s = math.sqrt(u), math.sqrt(1.0 - u)
+    f = [math.factorial(n) for n in range(k)]
+    out = np.empty((k, k))
+    for p in range(k):
+        for q in range(k):
+            total = 0.0
+            for r in range(max(0, p - q), min(p, k - 1 - q) + 1):
+                total += ((-1) ** (q - p + r)
+                          / (f[k - 1 - q - r] * f[r] * f[q - p + r] * f[p - r])
+                          * c ** (k - 1 + p - q - 2 * r) * s ** (q - p + 2 * r))
+            out[p, q] = f[k - 1 - p] * f[p] * f[k - 1 - q] * f[q] * total * total
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_smatrix_algebraic_spin_every_entry(tmp_path, capsys, k):
+    code, out, _ = run(
+        capsys, "smatrix", "--family", "spin", "--k", str(k),
+        "--delta", "0.6", "--slope", "1", "--method", "algebraic",
+        "--ledger", str(tmp_path / "l.jsonl"),
+    )
+    assert code == 0
+    s = np.array(json.loads(out)["matrix"])
+    expect = small_d_squared(k, math.exp(-math.pi * 0.36))
+    assert np.abs(s - expect).max() <= 1e-13
+
+
 @pytest.mark.parametrize("k", [32, 64])
 def test_smatrix_algebraic_high_spin(tmp_path, capsys, k):
     code, out, _ = run(
@@ -105,6 +135,35 @@ def test_smatrix_crossings_bowtie(tmp_path, capsys):
     assert payload["matrix"][0][0] == pytest.approx(p, rel=1e-12)
     assert payload["matrix"][1][0] == pytest.approx(0.0, abs=1e-15)
     assert payload["events"] == 2
+
+
+@pytest.mark.parametrize("params", [
+    ["--delta", "nan", "--slope", "1", "--eps", "1", "--method", "crossings"],
+    ["--delta", "0.3", "--slope", "1", "--eps", "nan", "--method", "crossings"],
+    ["--delta", "inf", "--slope", "1", "--eps", "1", "--method", "crossings"],
+    ["--delta", "0.3", "--slope", "inf", "--eps", "1", "--method", "crossings"],
+    ["--delta", "0.3", "--slope", "1", "--eps", "1", "--method", "numeric", "--T", "inf"],
+], ids=["delta-nan", "eps-nan", "delta-inf", "slope-inf", "T-inf"])
+def test_non_finite_input_exit_2_writes_no_record(tmp_path, capsys, params):
+    ledger = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "smatrix", "--family", "bowtie3", *params,
+                         "--ledger", str(ledger))
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
+    assert not ledger.exists()
+
+
+def test_nan_matrix_fails_stochastic_check(tmp_path, capsys, monkeypatch):
+    # NaN compares False with everything, so a `defect > tol` test passed it
+    monkeypatch.setattr(cli, "compute_smatrix",
+                        lambda model, method, args: (np.full((3, 3), np.nan), {}))
+    ledger = tmp_path / "l.jsonl"
+    code, _, err = run(capsys, "smatrix", "--family", "bowtie3", "--delta", "0.3",
+                       "--slope", "1", "--eps", "1", "--ledger", str(ledger))
+    assert code == 1
+    assert err.startswith("FAIL: scattering matrix violates double stochasticity")
+    assert not ledger.exists()
 
 
 def test_smatrix_unsupported_method(tmp_path, capsys):
@@ -215,6 +274,17 @@ def test_sweep_empty_range(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.read_text().strip() == "delta"
+
+
+@pytest.mark.parametrize("span", ["0.5:inf:0.5", "nan:1:0.5", "0.5:1.5:nan"])
+def test_sweep_non_finite_range_exit_2(tmp_path, capsys, span):
+    ledger = tmp_path / "l.jsonl"
+    code, _, err = run(capsys, "sweep", "--family", "bowtie3", "--delta", "0.3",
+                       "--slope", "1", "--eps", span, "--method", "crossings",
+                       "--ledger", str(ledger))
+    assert code == 2
+    assert "range must be finite" in err
+    assert not ledger.exists()
 
 
 def test_sweep_requires_exactly_one_range(tmp_path, capsys):

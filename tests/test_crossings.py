@@ -19,7 +19,7 @@ from lzscatter.crossings import (
 from lzscatter.laxflow import stochastic_defect
 from lzscatter.models import MissingPartnerError, SingularPartnerError, build_model
 from lzscatter.numerics import OdeSettings
-from lzscatter.oracle import propagate
+from lzscatter.oracle import numeric_smatrix, propagate
 
 
 def bowtie_total(delta, a):
@@ -240,6 +240,21 @@ def test_path_counts():
     # trivial events open no path
     uncoupled = schedule_bowtieN([0.0, 0.0], [0.6, 1.2], 1.0)
     assert np.array_equal(path_counts(uncoupled, 4), np.eye(4))
+
+
+@pytest.mark.parametrize("eps", [1.0, -1.0])
+def test_interfering_bowtien_entries_disagree_with_propagation(eps):
+    # same-sign slopes: the product of probability blocks misses exactly
+    # the entries that two event paths join, which is why the CLI refuses
+    # these cases; every other entry passes the compare rule
+    m = build_model("bowtieN", delta=[0.25, 0.25], slope=[0.6, 1.2], eps=eps)
+    schedule = derive_schedule_generic(m)
+    counts = path_counts(schedule, 4)
+    assert counts.max() == 2
+    result = numeric_smatrix(m, t_final=200.0, settings=OdeSettings(rtol=1e-9, atol=1e-11))
+    dev = np.abs(result.s_num - compose(schedule, 4))
+    assert dev[counts == 2].min() > 0.05
+    assert dev[counts < 2].max() <= max(1e-2, 3 * result.error_estimate)
 
 
 def test_oracle_pins_composition_orientation():

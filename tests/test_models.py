@@ -222,6 +222,17 @@ def test_parameter_validation():
         build_model("bowtieN", delta=[0.1], slope=[1.0, 2.0], eps=1.0)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("lz2", dict(delta=float("nan"), slope=1.0)),
+    ("spin", dict(k=3, delta=1.0, slope=float("inf"))),
+    ("bowtie3", dict(delta=0.3, slope=1.0, eps=float("nan"))),
+    ("bowtieN", dict(delta=[0.1, float("inf")], slope=[1.0, 2.0], eps=1.0)),
+])
+def test_non_finite_parameters_rejected(family, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        build_model(family, **params)
+
+
 def test_partner_b_is_su3six_only():
     su3 = build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8)
     assert su3.e_0[1, 4] == pytest.approx(-0.2 / 0.8)

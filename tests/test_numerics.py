@@ -5,11 +5,13 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lzscatter.models import build_model
 from lzscatter.numerics import (
     IntegrationDivergedError,
     NonHermitianError,
     OdeSettings,
     _expmi,
+    _step_generators,
     commutator,
     hermitian_eigs,
     propagate_unitary,
@@ -140,6 +142,69 @@ def test_affine_pair_matches_callable(dim, seed, backward):
     u_pair = propagate_unitary((a, b), t0, t1, settings_)
     u_call = propagate_unitary(lambda t: a + t * b, t0, t1, settings_)
     assert np.abs(u_pair - u_call).max() <= 10 * settings_.rtol
+
+
+def test_step_generator_orders():
+    # one full step of H = A + tB at t = 5 against a tight DOP853 reference:
+    # halving h divides the error by 2^7 for the sixth-order pair form and
+    # by 2^5 for the fourth-order callable form
+    m = build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0)
+    a, b = m.a_of(), m.b
+
+    def reference(t, h):
+        sol = solve_ivp(lambda s, y: (-1j * (a + s * b) @ y.reshape(3, 3)).ravel(),
+                        (t, t + h), np.eye(3, dtype=complex).ravel(), method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        return sol.y[:, -1].reshape(3, 3)
+
+    steps = (0.4, 0.2, 0.1, 0.05)
+    exact = [reference(5.0, h) for h in steps]
+    for form, order, (low, high) in (((a, b), 6, (100, 160)),
+                                     (lambda t: a + t * b, 4, (25, 40))):
+        _, generators, got_order, _ = _step_generators(form, 5.0)
+        assert got_order == order
+        errs = [np.abs(_expmi(generators(5.0, h))[0] - u).max() for h, u in zip(steps, exact)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert low <= coarse / fine <= high
+
+
+def test_pair_step_respects_coupled_gap_cap():
+    # the step-doubling estimate aliases once a step turns the coupled
+    # levels' relative phase by more than 2 pi; every accepted pair step
+    # stays below that, so a loose tolerance still meets its error
+    m = build_model("spin", k=3, delta=0.5, slope=1.2)
+    a, b = m.a_of(), m.b
+    _, _, _, max_step = _step_generators((a, b), 0.0)
+    # spin k = 3 couples adjacent levels only; at large |t| their gap is
+    # |t| times the slope difference
+    gap = 100.0 * abs(b[0, 0] - b[1, 1]).real
+    assert max_step(100.0) == pytest.approx(2 * np.pi / gap, rel=0.01)
+    loose = OdeSettings(rtol=1e-6, atol=1e-8)
+    tight = OdeSettings(rtol=1e-10, atol=1e-12)
+    s_loose = np.abs(propagate_unitary((a, b), -100.0, 100.0, loose)) ** 2
+    s_tight = np.abs(propagate_unitary((a, b), -100.0, 100.0, tight)) ** 2
+    assert np.abs(s_loose - s_tight).max() <= 10 * loose.rtol
+
+
+def test_non_finite_matrix_rejected():
+    # NaN compares False with any tolerance, so the Hermiticity test alone
+    # passed it: eigh returned NaN vectors and propagation reported a step
+    # underflow
+    bad = np.array([[np.nan, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigs(bad)
+    with pytest.raises(ValueError, match="A has non-finite"):
+        propagate_unitary((bad, SIGMA3), 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"H\(t0\) has non-finite"):
+        propagate_unitary(lambda t: bad + t * SIGMA3, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("t0, t1", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
+def test_propagate_rejects_non_finite_endpoints(t0, t1):
+    # an infinite span never ends: every step size stays infinite
+    for hfun in ((SIGMA1, SIGMA3), lambda t: SIGMA1 + t * SIGMA3):
+        with pytest.raises(ValueError, match="finite"):
+            propagate_unitary(hfun, t0, t1)
 
 
 def test_affine_pair_rejects_mismatched_shapes():

@@ -102,7 +102,7 @@ def test_numeric_smatrix_nested_matches_independent_horizons():
     assert abs(result.error_estimate - spread) <= 1e-7
 
 
-@pytest.mark.parametrize("t_final", [0.0, -10.0])
+@pytest.mark.parametrize("t_final", [0.0, -10.0, np.inf, np.nan])
 def test_numeric_smatrix_validates_horizon(t_final):
     m = build_model("lz2", delta=1.0, slope=1.0)
     with pytest.raises(ValueError, match="horizon"):
