@@ -33,19 +33,34 @@ error estimate is the Richardson one, ``|U_half - U_full| / (2^p - 1)`` for
 a generator of order p.  It is faithful only while a step turns the
 relative phase of the levels that ``[A, B]`` couples by less than 2 pi;
 beyond that the full and half-step propagators can agree while both are
-wrong.  So a pair-form step is also capped at ``h g(t_m) <= 2 pi``, with
-the gap ``g`` estimated from the basis as ``(|[H, [H, C]]| / |C|)^(1/2)``.
+wrong.  So every step is also capped at ``h g(t_m) <= 2 pi``, with the gap
+``g`` estimated as ``(|[H, [H, C]]| / |C|)^(1/2)``: from the basis for the
+pair, from ``H = (H1 + H2) / 2`` and ``C ~ [H1, H2]`` at the step's two
+Gauss samples for a callable.
+
+A pair may be a stack of m pairs ``(m, n, n)``; the members share every
+step (the error is the largest, the cap the smallest over them), and one
+``eigh`` exponentiates all 3m generators.  That is what makes the fold at
+``t = 0`` cheap.  For ``W(s) = U(-s, 0)``, ``i dW/ds = (-A + s B) W``, so
+
+    U(T, -T) = F(T, 0) G(T, 0)^dag,
+
+with F the propagator of ``(A, B)`` and G that of the mirror ``(-A, B)``,
+both started at 0 and run outward over the same t values.  A sweep of
+``[-T, T]`` is then one lockstep sweep of ``[0, T]`` on the stack
+``(A, -A), (B, B)``: half the ``eigh`` calls for the same matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _SQRT3 = np.sqrt(3.0)
 
-# largest h * g of a pair-form step, g the level gap that [A, B] couples:
+# largest h * g of a step, g the level gap that [A, B] couples:
 # beyond one relative phase turn of the coupled levels per step the full
 # and half-step propagators can agree while both are wrong, and step
 # doubling under-reported the error by up to 10^4 (rtol 1e-6, five families)
@@ -125,6 +140,12 @@ def _require_hermitian(m, name="matrix", tol=1e-12):
     return m
 
 
+def _hermitian_members(m, name):
+    # a matrix or a stack of them as an (m, n, n) stack, each member checked
+    m = np.asarray(m, dtype=complex)
+    return np.stack([_require_hermitian(x, name) for x in (m if m.ndim == 3 else [m])])
+
+
 def hermitian_eigs(m, tol=1e-12):
     """Eigendecomposition of a Hermitian matrix.
 
@@ -152,39 +173,63 @@ def _magnus_generator(hfun, t, h):
     return 0.5 * h * (h1 + h2) + 1j * (_SQRT3 / 12.0) * h * h * (prod - prod.conj().T)
 
 
+def _commutator(a, b):
+    # unchecked, on matrices or stacks of them
+    return a @ b - b @ a
+
+
 def _step_generators(hfun, t0):
-    """Dimension ``n``, a map ``(t, h) -> (3, n, n)``, the order, a step cap.
+    """Dimension ``n``, a map ``(t, h) -> (3, m, n, n)``, the order, a step cap.
 
     The stack holds the generators of ``[t, t + h]``, ``[t, t + h/2]`` and
-    ``[t + h/2, t + h]``, in that order.  A callable gets the fourth-order
-    Gauss generator, a pair ``(A, B)`` the sixth-order closed form.  The
-    cap maps a step midpoint to the largest step allowed there: ``2 pi``
-    over the coupled gap for the pair, unbounded for a callable.
+    ``[t + h/2, t + h]``, in that order, for each of the ``m`` members.  A
+    callable (``m = 1``) gets the fourth-order Gauss generator, a pair
+    ``(A, B)`` the sixth-order closed form; ``A`` and ``B`` are matrices
+    (``m = 1``) or stacks of ``m`` of them.  The cap maps a step ``(t, h)``
+    to the largest step allowed there, ``2 pi`` over the coupled gap at the
+    step's midpoint, the smallest over the members: from the basis for the
+    pair, from the step's two Gauss samples for a callable.
     """
     if callable(hfun):
         n = _require_hermitian(hfun(t0), "H(t0)").shape[0]
+        c = _SQRT3 / 6.0
 
         def generators(t, h):
             return np.stack((
                 _magnus_generator(hfun, t, h),
                 _magnus_generator(hfun, t, 0.5 * h),
                 _magnus_generator(hfun, t + 0.5 * h, 0.5 * h),
-            ))
+            ))[:, None]
 
-        return n, generators, 4, lambda t: np.inf
-    a = _require_hermitian(hfun[0], "A")
-    b = _require_hermitian(hfun[1], "B")
-    # commutator validates the shapes; the basis holds seven Hermitian
-    # matrices and each generator is one real combination of them, formed
-    # on the float view of the basis
-    c = commutator(a, b)
-    bc = commutator(b, c)
-    ac = commutator(a, c)
-    n = c.shape[0]
+        def max_step(t, h):
+            # [H1, H2] = (t2 - t1) [A, B] for an affine H; the gap formula
+            # does not depend on the scale of C, so the factor is dropped
+            h1 = hfun(t + (0.5 - c) * h)
+            h2 = hfun(t + (0.5 + c) * h)
+            comm = _commutator(h1, h2)
+            mid = 0.5 * (h1 + h2)
+            curv = _commutator(mid, _commutator(mid, comm))
+            q = float(np.vdot(curv, curv).real)
+            c_sq = float(np.vdot(comm, comm).real)
+            return _MAX_STEP_PHASE * (c_sq / q) ** 0.25 if q > 0.0 else np.inf
+
+        return n, generators, 4, max_step
+    a = _hermitian_members(hfun[0], "A")
+    b = _hermitian_members(hfun[1], "B")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: A {a.shape} vs B {b.shape}")
+    m, n, _ = a.shape
+    # the basis holds seven Hermitian matrices per member and each
+    # generator is one real combination of them, formed for every member
+    # at once by one product on the float view of the basis
+    c = _commutator(a, b)
+    bc = _commutator(b, c)
+    ac = _commutator(a, c)
     basis = np.stack((
-        a, b, 1j * c, bc, 1j * commutator(a, ac), 1j * commutator(b, ac), 1j * commutator(b, bc),
-    )).reshape(7, n * n)
-    basis_re = basis.view(float)
+        a, b, 1j * c, bc, 1j * _commutator(a, ac), 1j * _commutator(b, ac),
+        1j * _commutator(b, bc),
+    )).reshape(7, m, n * n)
+    basis_re = basis.reshape(7, -1).view(float)
 
     def row(step, mid):
         # coefficients of the generator of [mid - step/2, mid + step/2]
@@ -198,51 +243,34 @@ def _step_generators(hfun, t0):
             row(half, t + 0.5 * half),
             row(half, t + 1.5 * half),
         ))
-        return (coef @ basis_re).view(complex).reshape(3, n, n)
+        return (coef @ basis_re).view(complex).reshape(3, m, n, n)
 
     # the gap g(t) is estimated as (|[H, [H, C]]| / |C|)^(1/2) (Frobenius,
     # H = H(t)); |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of
-    # the last three basis rows
-    last = basis[4:]
-    gram = (last.conj() @ last.T).real
-    quartic = (gram[2, 2], 4.0 * gram[1, 2], 4.0 * gram[1, 1] + 2.0 * gram[0, 2],
-               4.0 * gram[0, 1], gram[0, 0])
-    c_sq = float(np.vdot(c, c).real)
+    # each member's last three basis rows
+    caps = []
+    for last, c_member in zip(np.swapaxes(basis[4:], 0, 1), c):
+        gram = (last.conj() @ last.T).real
+        quartic = (gram[2, 2], 4.0 * gram[1, 2], 4.0 * gram[1, 1] + 2.0 * gram[0, 2],
+                   4.0 * gram[0, 1], gram[0, 0])
+        caps.append((float(np.vdot(c_member, c_member).real), [float(x) for x in quartic]))
 
-    def max_step(t):
-        q = quartic[0]
-        for coef in quartic[1:]:
-            q = q * t + coef
-        return _MAX_STEP_PHASE * (c_sq / q) ** 0.25 if q > 0.0 else np.inf
+    def max_step(t, h):
+        mid = t + 0.5 * h
+        ratio = np.inf
+        for c_sq, quartic in caps:
+            q = quartic[0]
+            for coef in quartic[1:]:
+                q = q * mid + coef
+            if q > 0.0:
+                ratio = min(ratio, c_sq / q)
+        return _MAX_STEP_PHASE * ratio ** 0.25
 
     return n, generators, 6, max_step
 
 
-def propagate_unitary(hfun, t0, t1, settings=None):
-    """Propagator ``U(t1, t0)`` of ``i dU/dt = H(t) U`` for Hermitian H(t).
-
-    ``hfun`` is either a callable ``H(t)`` or a pair ``(A, B)`` meaning
-    ``H(t) = A + t B``.  The pair gets the sixth-order Magnus generator in
-    closed form (module docstring), a real combination of seven matrices
-    formed once per call; a callable is sampled at the two Gauss points of
-    every step for the fourth-order generator.  Both forms run through one
-    adaptive stepping loop with step-doubling error control (Richardson
-    divisor ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p), and
-    each step exponentiates its full-step and two half-step generators as
-    one stacked ``eigh``.  A pair-form step is also kept below one turn of
-    the relative phase of the levels ``[A, B]`` couples, where the error
-    estimate stops being faithful.  Every update is an exact exponential of
-    a Hermitian generator, so the result is unitary to roundoff regardless
-    of tolerance; the tolerances control phase/transition accuracy only.
-    ``A`` and ``B``, or the callable's ``H(t0)``, are checked once per call
-    by the ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``.
-    """
-    if settings is None:
-        settings = OdeSettings()
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
-    if t0 == t1:
-        raise ValueError("t0 and t1 must differ")
+def _propagate(hfun, t0, t1, settings):
+    # the adaptive loop; (m, n, n), one propagator per member
     n, generators, order, max_step = _step_generators(hfun, t0)
     # Richardson: the two half steps carry 2^-order of the full step's error
     divisor = 2.0 ** order - 1.0
@@ -258,8 +286,13 @@ def propagate_unitary(hfun, t0, t1, settings=None):
         h = h_prop
         if (t + h - t1) * direction > 0.0:
             h = t1 - t
-        h_max = max_step(t + 0.5 * h)
+        h_max = max_step(t, h)
         if abs(h) > h_max:
+            # a cap that shrinks toward zero would otherwise loop forever
+            if h_max < h_floor:
+                raise IntegrationDivergedError(
+                    f"magnus step cap {h_max!r} below the underflow floor at t = {t!r}", t
+                )
             h = h_max * direction
         full, first, second = _expmi(generators(t, h))
         half = second @ first
@@ -275,6 +308,63 @@ def propagate_unitary(hfun, t0, t1, settings=None):
                     f"magnus step underflow at t = {t!r}", t
                 )
     return u
+
+
+def propagate_unitary(hfun, t0, t1, settings=None):
+    """Propagator ``U(t1, t0)`` of ``i dU/dt = H(t) U`` for Hermitian H(t).
+
+    ``hfun`` is either a callable ``H(t)`` or a pair ``(A, B)`` meaning
+    ``H(t) = A + t B``.  ``A`` and ``B`` may also be stacks of shape
+    ``(m, n, n)``; the ``m`` members then share every step and the result
+    has shape ``(m, n, n)``.  The pair gets the sixth-order Magnus generator
+    in closed form (module docstring), a real combination of seven matrices
+    formed once per call; a callable is sampled at the two Gauss points of
+    every step for the fourth-order generator.  Both forms run through one
+    adaptive stepping loop with step-doubling error control (Richardson
+    divisor ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p, the
+    error the largest over the members), and each step exponentiates the
+    full-step and two half-step generators of every member as one stacked
+    ``eigh``.  A step is also kept below one turn of the relative phase of
+    the levels ``[A, B]`` couples, where the error estimate stops being
+    faithful; a callable estimates that gap from its Gauss samples.
+
+    An unstacked pair whose interval has 0 strictly inside is folded there:
+    ``U(t1, t0) = F(t1, 0) G(-t0, 0)^dag`` with F the propagator of
+    ``(A, B)`` and G that of the mirror ``(-A, B)``, both outward from 0
+    in the direction of ``t1 - t0``.  F and G are propagated as one stack
+    up to ``min(|t0|, |t1|)`` and the longer one is finished alone, so
+    every step exponentiates two members for the price of one ``eigh``
+    call and the interval costs one sweep of its longer half.
+
+    Every update is an exact exponential of a Hermitian generator, so the
+    result is unitary to roundoff regardless of tolerance; the tolerances
+    control phase/transition accuracy only.  ``A`` and ``B`` (each member),
+    or the callable's ``H(t0)``, are checked once per call by the
+    ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``, and
+    a step size or step cap below ``1e-12`` of the span raises
+    ``IntegrationDivergedError``.
+    """
+    if settings is None:
+        settings = OdeSettings()
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
+    if t0 == t1:
+        raise ValueError("t0 and t1 must differ")
+    if callable(hfun):
+        return _propagate(hfun, t0, t1, settings)[0]
+    a, b = (np.asarray(x, dtype=complex) for x in hfun)
+    if a.ndim != 2 or b.ndim != 2:
+        return _propagate((a, b), t0, t1, settings)
+    if t0 * t1 >= 0.0:
+        return _propagate((a, b), t0, t1, settings)[0]
+    # i dW/ds = (-A + s B) W for W(s) = U(-s, 0), so U(0, t0) = G(-t0, 0)^dag
+    inner = math.copysign(min(abs(t0), abs(t1)), t1)
+    f, g = _propagate((np.stack((a, -a)), np.stack((b, b))), 0.0, inner, settings)
+    if abs(t1) > abs(inner):
+        f = _propagate((a, b), inner, t1, settings)[0] @ f
+    elif abs(t0) > abs(inner):
+        g = _propagate((-a, b), inner, -t0, settings)[0] @ g
+    return f @ g.conj().T
 
 
 def unitarity_defect(u):

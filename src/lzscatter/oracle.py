@@ -61,25 +61,30 @@ def propagate(model: AffineModel, eps=None, t_final=None, settings=None) -> np.n
 def numeric_smatrix(model: AffineModel, eps=None, t_final=None, settings=None) -> OracleResult:
     """Transition probabilities with a finite-horizon error estimate.
 
-    The horizons T/2, T/sqrt(2) and T share one nested propagation:
-    [-T/2, T/2] is propagated once and then extended outward at both ends,
-    ``U <- U(T_next, T_n) U U(-T_n, -T_next)``, so the three propagators
-    cost one sweep of [-T, T].  The entrywise spread of the three
-    probability matrices is the error estimate.  A spread above 0.1 flags
-    the result as non-converged (it is still returned).
+    ``U(T, -T) = F(T, 0) G(T, 0)^dag`` with F the propagator of
+    ``H = A + t B`` and G that of the mirror ``-A + t B`` (``G(s, 0)`` is
+    ``U(-s, 0)``).  F and G are propagated outward from 0 as one stacked
+    pair over the shells [0, T/2], [T/2, T/sqrt(2)] and [T/sqrt(2), T],
+    and ``U = F G^dag`` is read off at each of the three horizons, so the
+    three propagators cost one lockstep sweep of [0, T].  The entrywise
+    spread of the three probability matrices is the error estimate.  A
+    spread above 0.1 flags the result as non-converged (it is still
+    returned).
     """
     t_final = _horizon(model, eps, t_final)
-    horizons = [0.5 * t_final, t_final / np.sqrt(2.0), t_final]
-    hamiltonian = (model.a_of(eps), model.b)
-    u = propagate_unitary(hamiltonian, -horizons[0], horizons[0], settings)
-    mats = [np.abs(u) ** 2]
-    defect = unitarity_defect(u)
-    for inner, outer in zip(horizons, horizons[1:]):
-        later = propagate_unitary(hamiltonian, inner, outer, settings)
-        earlier = propagate_unitary(hamiltonian, -outer, -inner, settings)
-        u = later @ u @ earlier
+    a = model.a_of(eps)
+    mirrored = (np.stack((a, -a)), np.stack((model.b, model.b)))
+    f = g = np.eye(model.k, dtype=complex)
+    mats = []
+    defect = 0.0
+    inner = 0.0
+    for outer in (0.5 * t_final, t_final / np.sqrt(2.0), t_final):
+        shell_f, shell_g = propagate_unitary(mirrored, inner, outer, settings)
+        f, g = shell_f @ f, shell_g @ g
+        u = f @ g.conj().T
         defect = max(defect, unitarity_defect(u))
         mats.append(np.abs(u) ** 2)
+        inner = outer
     spread = float(np.max(np.abs(mats[0] - mats[2])))
     spread = max(spread, float(np.max(np.abs(mats[1] - mats[2]))))
     return OracleResult(

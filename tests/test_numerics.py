@@ -178,12 +178,91 @@ def test_pair_step_respects_coupled_gap_cap():
     # spin k = 3 couples adjacent levels only; at large |t| their gap is
     # |t| times the slope difference
     gap = 100.0 * abs(b[0, 0] - b[1, 1]).real
-    assert max_step(100.0) == pytest.approx(2 * np.pi / gap, rel=0.01)
+    assert max_step(100.0, 0.0) == pytest.approx(2 * np.pi / gap, rel=0.01)
     loose = OdeSettings(rtol=1e-6, atol=1e-8)
     tight = OdeSettings(rtol=1e-10, atol=1e-12)
     s_loose = np.abs(propagate_unitary((a, b), -100.0, 100.0, loose)) ** 2
     s_tight = np.abs(propagate_unitary((a, b), -100.0, 100.0, tight)) ** 2
     assert np.abs(s_loose - s_tight).max() <= 10 * loose.rtol
+
+
+def test_callable_step_respects_coupled_gap_cap():
+    # the callable form estimates the coupled gap from the step's two Gauss
+    # samples; for an affine H that is the pair form's cap exactly.  Without
+    # the cap this loose run missed the tight one by 1.6e-4
+    m = build_model("spin", k=3, delta=0.5, slope=1.2)
+    a, b = m.a_of(), m.b
+    hfun = lambda t: a + t * b
+    _, _, _, pair_cap = _step_generators((a, b), 0.0)
+    _, _, _, callable_cap = _step_generators(hfun, 0.0)
+    for t, h in ((100.0, 0.02), (-3.0, 0.5)):
+        assert callable_cap(t, h) == pytest.approx(pair_cap(t, h), rel=1e-9)
+    loose = OdeSettings(rtol=1e-6, atol=1e-8)
+    tight = OdeSettings(rtol=1e-10, atol=1e-12)
+    s_loose = np.abs(propagate_unitary(hfun, -100.0, 100.0, loose)) ** 2
+    s_tight = np.abs(propagate_unitary((a, b), -100.0, 100.0, tight)) ** 2
+    assert np.abs(s_loose - s_tight).max() <= 10 * loose.rtol
+
+
+def test_step_cap_below_floor_raises():
+    # a coupled gap near 1e14 caps the step near 6e-14, below 1e-12 of the
+    # span: stepping on would take some 10^13 steps
+    big = 1e14
+    for hfun in ((big * SIGMA1, big * SIGMA3), lambda t: big * (SIGMA1 + t * SIGMA3)):
+        with pytest.raises(IntegrationDivergedError, match="cap") as err:
+            propagate_unitary(hfun, 0.0, 1.0)
+        assert err.value.last_t == 0.0
+
+
+@pytest.mark.parametrize("t0, t1", [(-60.0, 60.0), (-20.0, 50.0), (40.0, -10.0)])
+def test_fold_matches_unfolded_halves(t0, t1):
+    # an interval with 0 inside is folded into F(t1, 0) G(-t0, 0)^dag; the
+    # two halves that end at 0 are never folded, and their product is the
+    # full U, phases included
+    m = build_model("su3adj8", delta=0.2, slope=0.4, eps=-1.0)
+    pair = (m.a_of(), m.b)
+    tight = OdeSettings(rtol=1e-13, atol=1e-15)
+    folded = propagate_unitary(pair, t0, t1, tight)
+    halves = propagate_unitary(pair, 0.0, t1, tight) @ propagate_unitary(pair, t0, 0.0, tight)
+    assert np.abs(folded - halves).max() <= 1e-11
+
+
+@pytest.mark.parametrize("family, kwargs", [
+    ("bowtie3", dict(delta=0.3, slope=1.0, eps=1.0)),
+    ("spin", dict(k=6, delta=0.8, slope=1.0)),
+])
+def test_folded_sweep_meets_tolerance(family, kwargs):
+    # F and G share their steps, so each must still meet the tolerance:
+    # the folded sweep at rtol 1e-8 against an unfolded one at 1e-13
+    m = build_model(family, **kwargs)
+    pair = (m.a_of(), m.b)
+    tight = OdeSettings(rtol=1e-13, atol=1e-15)
+    loose = OdeSettings(rtol=1e-8, atol=1e-10)
+    exact = propagate_unitary(pair, 0.0, 100.0, tight) @ propagate_unitary(pair, -100.0, 0.0, tight)
+    u = propagate_unitary(pair, -100.0, 100.0, loose)
+    assert np.abs(np.abs(u) ** 2 - np.abs(exact) ** 2).max() <= 2 * loose.rtol
+
+
+@pytest.mark.parametrize("t0, t1", [(-3.0, 4.0), (5.0, 1.0)])
+def test_stacked_pair_matches_members(t0, t1):
+    # m pairs as one stack share every step; each member still meets the
+    # tolerance it meets alone
+    rng = np.random.default_rng(7)
+    a = np.stack([_random_hamiltonian(4, seed) for seed in range(3)])
+    b = np.stack([np.diag(rng.uniform(-2.0, 2.0, size=4)).astype(complex) for _ in range(3)])
+    settings_ = OdeSettings(rtol=1e-8, atol=1e-10)
+    stacked = propagate_unitary((a, b), t0, t1, settings_)
+    assert stacked.shape == (3, 4, 4)
+    # the shared step is capped by the member with the largest coupled gap
+    stacked_cap = _step_generators((a, b), 0.0)[3]
+    member_caps = [_step_generators((a_m, b_m), 0.0)[3] for a_m, b_m in zip(a, b)]
+    for t in (t0, t1):
+        expected = min(cap(t, 0.0) for cap in member_caps)
+        assert stacked_cap(t, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert expected < max(cap(t, 0.0) for cap in member_caps)
+    for u, a_m, b_m in zip(stacked, a, b):
+        alone = propagate_unitary((a_m, b_m), t0, t1, settings_)
+        assert np.abs(u - alone).max() <= 10 * settings_.rtol
 
 
 def test_non_finite_matrix_rejected():
@@ -222,6 +301,9 @@ def test_propagate_rejects_non_hermitian():
         propagate_unitary((a, SIGMA3), -5.0, 5.0)
     with pytest.raises(NonHermitianError, match="B is not Hermitian"):
         propagate_unitary((SIGMA1, a), -5.0, 5.0)
+    # each member of a stack is checked
+    with pytest.raises(NonHermitianError, match="A is not Hermitian"):
+        propagate_unitary((np.stack((SIGMA1, a)), np.stack((SIGMA3, SIGMA3))), -5.0, 5.0)
     with pytest.raises(NonHermitianError, match=r"H\(t0\) is not Hermitian"):
         propagate_unitary(lambda t: a + t * SIGMA3, -5.0, 5.0)
 

@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 from brundobler_elser import extremal_survivals
 from lzscatter.laxflow import lz_closed_form
 from lzscatter.models import build_model
-from lzscatter.numerics import OdeSettings, unitarity_defect
+from lzscatter.numerics import OdeSettings, propagate_unitary, unitarity_defect
 from lzscatter.oracle import (
     adiabatic_spectrum,
     default_horizon,
@@ -34,8 +34,6 @@ def test_propagate_two_level_survival():
 
 
 def test_propagate_group_property():
-    from lzscatter.numerics import propagate_unitary
-
     m = build_model("spin", k=3, delta=0.5, slope=1.0)
     fwd = propagate_unitary(lambda t: m.hamiltonian(t), -30.0, 30.0, FAST)
     back = propagate_unitary(lambda t: m.hamiltonian(t), 30.0, -30.0, FAST)
@@ -88,12 +86,14 @@ def test_numeric_smatrix_flags_unconverged_horizon():
 
 
 def test_numeric_smatrix_nested_matches_independent_horizons():
-    # the nested propagation against three separate sweeps of [-T_n, T_n]
+    # the nested lockstep shells against three separate sweeps of
+    # [-T_n, T_n], each the product of its two unfolded halves
     tight = OdeSettings(rtol=1e-10, atol=1e-12)
     m = build_model("bowtie3", delta=0.3, slope=1.0, eps=-0.8)
+    pair = (m.a_of(), m.b)
     t_final = 40.0
     mats = [
-        np.abs(propagate(m, t_final=t, settings=tight)) ** 2
+        np.abs(propagate_unitary(pair, 0.0, t, tight) @ propagate_unitary(pair, -t, 0.0, tight)) ** 2
         for t in (0.5 * t_final, t_final / math.sqrt(2.0), t_final)
     ]
     spread = max(np.abs(mats[0] - mats[2]).max(), np.abs(mats[1] - mats[2]).max())
