@@ -320,6 +320,9 @@ def cmd_spectrum(args):
     model = _build_from_args(args)
     if args.steps < 2:
         raise UsageError("spectrum needs steps >= 2")
+    for name, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not math.isfinite(value):
+            raise UsageError(f"t window must be finite, got {name}={value!r}")
     if args.t_min >= args.t_max:
         raise UsageError("t window needs t-min < t-max")
     grid = np.linspace(args.t_min, args.t_max, args.steps)

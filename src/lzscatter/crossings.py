@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .laxflow import clamp_probabilities
 from .models import AffineModel, SingularPartnerError
@@ -389,6 +388,61 @@ def _degenerate_pairs(samples):
             if np.abs(samples[:, i] - samples[:, j]).max() <= 1e-9 * scale:
                 pairs.add((i, j))
     return pairs
+
+
+def brentq(f, a, b, xtol):
+    """Root of ``f`` in a sign-changing bracket ``[a, b]`` by Brent's method.
+
+    The steps and floating-point operations of ``scipy.optimize.brentq``
+    (rtol four machine epsilons, at most 100 iterations), so roots and
+    function calls are bit-equal to it; written out because importing
+    ``scipy.optimize`` takes longer than a whole cold CLI command.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"brentq: the function is NaN at x={x!r}")
+        return fx
+
+    rtol = 4 * 2.0**-52
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq: no convergence in 100 iterations, last x={xcur!r}")
 
 
 def _find_pair_crossings(segment, taus, samples, degenerate):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .laxflow import clamp_probabilities
 from .models import AffineModel
@@ -142,6 +141,8 @@ def adiabatic_spectrum(model: AffineModel, t_grid, eps=None):
     column c holding the c-th tracked curve, and ``flags`` a boolean array
     marking fallback points.
     """
+    from scipy.optimize import linear_sum_assignment
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t grid must be a nonempty 1-d array")

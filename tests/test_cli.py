@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,22 @@ def test_spectrum_minimum_steps(tmp_path, capsys):
     assert "steps" in err
 
 
+@pytest.mark.parametrize("window", [["--t-min=nan"], ["--t-max=inf"], ["--t-min=-inf"]],
+                         ids=["t-min-nan", "t-max-inf", "t-min-neg-inf"])
+def test_spectrum_non_finite_window_exit_2(tmp_path, capsys, monkeypatch, window):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("spectrum computed on a non-finite window")
+
+    monkeypatch.setattr(cli.oracle, "adiabatic_spectrum", unreachable)
+    ledger = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "spectrum", "--family", "lz2", "--delta", "0.5",
+                         "--slope", "1", *window, "--ledger", str(ledger))
+    assert code == 2
+    assert err == f"error: t window must be finite, got {window[0]}\n"
+    assert out == ""
+    assert not ledger.exists()
+
+
 def test_zero_curvature_cli(tmp_path, capsys):
     code, out, _ = run(
         capsys, "zero-curvature", "--family", "bowtie3",
@@ -398,3 +418,62 @@ def test_negative_probability_exit_1_writes_no_record(tmp_path, capsys, monkeypa
     assert code == 1
     assert err.startswith("FAIL: probability entry -5.000e-01 below clamp floor")
     assert not ledger.exists()
+
+
+# Commands a fresh interpreter runs through ``cli.main``.  Only ``spectrum``
+# (optimal assignment) may load scipy; every command must print what the
+# in-process run prints.
+SCIPY_FREE_COMMANDS = [
+    ["smatrix", "--family=spin", "--k=3", "--delta=0.8", "--slope=1", "--method=algebraic"],
+    ["smatrix", "--family=bowtie3", "--delta=0.3", "--slope=1", "--eps=-1",
+     "--method=crossings"],
+    ["smatrix", "--family=su3adj8", "--delta=0.2", "--slope=0.4", "--eps=1",
+     "--method=crossings"],
+    ["sweep", "--family=bowtie3", "--delta=0.3", "--slope=0.5:1:0.25", "--eps=1",
+     "--method=crossings"],
+    ["zero-curvature", "--family=su3six", "--delta=0.2", "--slope=0.4", "--eps=1"],
+    ["model", "show", "--family=su3adj8", "--delta=0.2", "--slope=0.4", "--eps=-1"],
+]
+SCIPY_COMMANDS = [
+    ["spectrum", "--family=bowtie3", "--delta=0.3", "--slope=1", "--eps=1", "--steps=9"],
+]
+COLD_SCRIPT = """
+import contextlib, io, json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import lzscatter, lzscatter.cli
+report = {"import": scipy_modules(), "runs": []}
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = lzscatter.cli.main(argv + ["--ledger", sys.argv[1]])
+    report["runs"].append([code, buf.getvalue()])
+for argv in json.loads(sys.argv[2]):
+    run(argv)
+report["commands"] = scipy_modules()
+for argv in json.loads(sys.argv[3]):
+    run(argv)
+print(json.dumps(report))
+"""
+
+
+def test_cold_cli_leaves_scipy_unloaded(tmp_path, capsys):
+    # one fresh interpreter: this process has scipy loaded already, so only a
+    # subprocess can see whether the package's own import path pulls it in
+    src = Path(__file__).resolve().parent.parent / "src"
+    ledger = str(tmp_path / "cold.jsonl")
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_SCRIPT, ledger,
+         json.dumps(SCIPY_FREE_COMMANDS), json.dumps(SCIPY_COMMANDS)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    assert report["commands"] == []
+    expected = [list(run(capsys, *argv, "--ledger", str(tmp_path / "warm.jsonl"))[:2])
+                for argv in SCIPY_FREE_COMMANDS + SCIPY_COMMANDS]
+    assert all(code == 0 for code, _ in expected)
+    assert report["runs"] == expected
+    # perfbench's span tracer wraps this attribute by name
+    assert "brentq" in vars(crossings) and callable(crossings.brentq)

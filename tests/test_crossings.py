@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
+from lzscatter import crossings
 from lzscatter.crossings import (
     CrossingEvent,
+    brentq,
     compose,
     derive_schedule_generic,
     local_smatrix,
@@ -342,6 +345,60 @@ def test_generic_su3six_negative_eps():
     s = compose(events, 6)
     u = propagate(m, t_final=200.0, settings=OdeSettings(rtol=1e-7, atol=1e-9))
     assert np.abs(s - np.abs(u) ** 2).max() < 1e-2
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("f, a, b, xtol", [
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0, 1e-12),
+    (lambda x: math.sin(3 * x + 0.4) - 0.2, 0.5, -1.0, 1e-9),
+    (lambda x: math.exp(1.7 * x) - 2.5, -4.0, 6.0, 1e-3),
+    (lambda x: math.tanh(40 * (x - 0.3)) + 1e-3, -5.0, 5.0, 1e-9),
+    (lambda x: (x - 0.1) * (x + 1.3) * (x - 2.2), -1.0, 1.5, 2e-12),
+    (lambda x: x, -1.0, 0.0, 1e-9),
+    (lambda x: 1e8 * (x - 0.37), 0.0, 1e8, 0.1),
+])
+def test_brentq_matches_scipy_bit_for_bit(f, a, b, xtol):
+    ours, our_calls = _counted(f)
+    ref, ref_calls = _counted(f)
+    root = brentq(ours, a, b, xtol=xtol)
+    assert type(root) is float
+    assert root == scipy_brentq(ref, a, b, xtol=xtol)
+    assert our_calls == ref_calls
+
+
+def test_brentq_rejects_bad_brackets():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-9)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, xtol=1e-9)
+
+
+@pytest.mark.parametrize("family, delta, slope", [
+    ("su3adj8", 0.2, 0.4), ("su3six", 0.2, 0.4), ("bowtieN", [0.25, 0.3], [-0.6, 1.2]),
+])
+def test_generic_roots_equal_scipy_brentq(monkeypatch, family, delta, slope):
+    # every root the derivation takes, against scipy's brentq on the same bracket
+    own = crossings.brentq
+    roots = []
+
+    def both(f, a, b, xtol):
+        root = own(f, a, b, xtol=xtol)
+        assert root == scipy_brentq(f, a, b, xtol=xtol)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(crossings, "brentq", both)
+    derive_schedule_generic(build_model(family, delta=delta, slope=slope, eps=-1.0))
+    assert roots
 
 
 def test_generic_requires_partner():
