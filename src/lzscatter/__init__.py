@@ -46,7 +46,6 @@ from .zerocurv import CurvatureReport, curvature_residual, curvature_terms, veri
 from .oracle import (
     OracleResult,
     adiabatic_spectrum,
-    extrapolate,
     numeric_smatrix,
     propagate,
 )

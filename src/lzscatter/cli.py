@@ -29,6 +29,7 @@ from . import crossings, laxflow, oracle, zerocurv
 from .laxflow import NegativeProbabilityError
 from .models import (
     FAMILIES,
+    PARTNERED_FAMILIES,
     AffineModel,
     MissingPartnerError,
     SingularPartnerError,
@@ -43,7 +44,6 @@ DEFAULT_LEDGER = "lzscatter_runs.jsonl"
 STOCHASTIC_TOL = 1e-8
 
 ALGEBRAIC_FAMILIES = ("lz2", "spin", "adjoint3")
-CROSSINGS_FAMILIES = ("bowtie3", "bowtieN", "su3six", "su3adj8")
 
 
 class ValidationFailure(Exception):
@@ -84,7 +84,9 @@ def _parse_range(text):
     if step <= 0:
         raise UsageError("range step must be positive")
     # exclusive stop with a roundoff guard so 0.2:0.8:0.2 yields 3 values
-    count = max(0, math.ceil((stop - start) / step - 1e-9))
+    count = math.ceil((stop - start) / step - 1e-9)
+    if count < 1:
+        raise UsageError(f"range {text!r} holds no points")
     return start + step * np.arange(count)
 
 
@@ -190,7 +192,7 @@ def compute_smatrix(model: AffineModel, method, args):
             raise UsageError(f"method algebraic unsupported for family {model.family!r}")
         return _algebraic_smatrix(model), {}
     if method == "crossings":
-        if model.family not in CROSSINGS_FAMILIES:
+        if model.family not in PARTNERED_FAMILIES:
             raise UsageError(f"method crossings unsupported for family {model.family!r}")
         schedule = _crossings_schedule(model)
         matrix = crossings.compose(schedule, model.k)
@@ -374,7 +376,6 @@ def cmd_sweep(args):
     header = None
     rows = []
     method = args.method
-    descriptor = None
     for value in values:
         kwargs = {
             "delta": _parse_values(args.delta) if param != "delta" else float(value),
@@ -405,14 +406,10 @@ def cmd_sweep(args):
                 + [repr(float(matrix[i - 1, j - 1])) for i, j in selected]
             )
         )
-    if header is None:
-        header = param
     lines = [header] + rows
     _write_lines(lines, args.out)
-    if descriptor is None:
-        descriptor = {"family": args.family}
     csv_digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    _append_record(args, descriptor, method or "sweep", csv_digest, None, True)
+    _append_record(args, descriptor, method, csv_digest, None, True)
     return 0
 
 

@@ -368,7 +368,7 @@ class _Segment:
         if self.rate_t != 0.0:
             out += self.rate_t * (
                 self.rate_t * np.diag(m.b).real
-                + self.rate_e * np.diag(m.da_of(e)).real
+                + self.rate_e * np.diag(m.a1).real
             )
         if self.rate_e != 0.0:
             out += self.rate_e * (

@@ -7,8 +7,8 @@ used by the zero-curvature verifier and the path-deformation engine.
 
 Every family is stored as constant coefficient matrices of one Laurent
 layout.  This module builds and evaluates it, and
-``zerocurv.curvature_terms`` is the one other reader (it expands the
-zero-curvature residual in the same coefficients):
+``zerocurv.curvature_terms`` expands the zero-curvature residual in the
+same coefficients:
 
     A(eps)  = a0 + eps a1
     E0(eps) = e_inv / eps + e_0 + eps e_eps
@@ -42,6 +42,8 @@ from typing import Optional
 import numpy as np
 
 FAMILIES = ("lz2", "spin", "adjoint3", "bowtie3", "bowtieN", "su3six", "su3adj8")
+# the families with a flat-level splitting eps and a flow partner E
+PARTNERED_FAMILIES = ("bowtie3", "bowtieN", "su3six", "su3adj8")
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT32 = math.sqrt(1.5)
@@ -136,13 +138,6 @@ class AffineModel:
         # eps-free families skip the a1 term on the propagation hot path
         return self.a0 + e * self.a1 if e else self.a0.copy()
 
-    def da_of(self, eps: Optional[float] = None) -> np.ndarray:
-        return self.a1.copy()
-
-    def e0_of(self, eps: Optional[float] = None) -> np.ndarray:
-        e = self._eps_value(eps)
-        return self.e_inv / e + self.e_0 + e * self.e_eps
-
     def de0_of(self, eps: Optional[float] = None) -> np.ndarray:
         e = self._eps_value(eps)
         return self.e_eps - self.e_inv / (e * e)
@@ -161,7 +156,7 @@ class AffineModel:
             raise SingularPartnerError(
                 f"partner of {self.family!r} is singular at eps = 0 (1/eps entries)"
             )
-        return self.e0_of(e)
+        return self.e_inv / e + self.e_0 + e * self.e_eps
 
     def descriptor(self) -> dict:
         d = {"family": self.family, "delta": _plain(self.delta), "slope": _plain(self.slope)}
@@ -198,17 +193,6 @@ def _scalar(name, value):
     if isinstance(value, (tuple, list, np.ndarray)):
         raise ValueError(f"{name} must be a scalar for this family")
     return float(value)
-
-
-def _build_lz2(delta, slope):
-    d = _scalar("delta", delta)
-    a = _require_positive("slope", _scalar("slope", slope))
-    return AffineModel(
-        family="lz2", k=2, delta=d, slope=a, eps=None,
-        a0=np.array([[0.0, d], [d, 0.0]], dtype=complex),
-        a1=np.zeros((2, 2), dtype=complex),
-        b=_diag([a, -a]),
-    )
 
 
 def _build_spin(k, delta, slope, family="spin", permute=None):
@@ -288,7 +272,7 @@ def _build_bowtieN(deltas, slopes, eps):
     )
 
 
-def _build_su3six(delta, slope, eps, partner_b=None):
+def _build_su3six(delta, slope, eps):
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
     e = _scalar("eps", eps)
@@ -311,12 +295,6 @@ def _build_su3six(delta, slope, eps, partner_b=None):
     e_0[2, 4] = e_0[4, 5] = s2d / a
     e_0[1, 3] = d / a
     e_0[1, 4] = -d / a
-    if partner_b is not None:
-        # one partner coupling is conventionally written with an independent
-        # symbol that zero curvature pins to the sweep rate a; any other
-        # value builds a deliberately inconsistent partner so the
-        # verifier's detection path can be exercised
-        e_0[1, 4] = -d / float(partner_b)
     return AffineModel(
         family="su3six", k=6, delta=d, slope=a, eps=e,
         a0=_hermitize(a0), a1=_diag(flat), b=_diag([0.0, 0.0, 0.0, a, a, 2 * a]),
@@ -366,15 +344,14 @@ def _build_su3adj8(delta, slope, eps):
     )
 
 
-def build_model(family, delta=None, slope=None, eps=None, k=None, partner_b=None):
+def build_model(family, delta=None, slope=None, eps=None, k=None):
     """Build a catalog model by family tag.
 
     ``delta``/``slope`` are scalars except for bowtieN, which takes equal
-    length lists; ``eps`` is required for the bow-tie-type families; ``k``
-    only applies to the spin family.  A non-finite ``delta``, ``slope`` or
-    ``eps`` raises ``ValueError``.  ``partner_b`` (su3six only) replaces
-    the sweep rate in one partner coupling, which breaks zero curvature on
-    purpose for any value other than ``slope``.
+    length lists.  ``eps`` is required for the bow-tie-type families and
+    refused by the others; ``k`` is required for the spin family and
+    refused by the others.  A non-finite ``delta``, ``slope`` or ``eps``
+    raises ``ValueError``.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(
@@ -382,16 +359,17 @@ def build_model(family, delta=None, slope=None, eps=None, k=None, partner_b=None
         )
     if delta is None or slope is None:
         raise ValueError("delta and slope are required")
-    if family in ("bowtie3", "bowtieN", "su3six", "su3adj8") and eps is None:
-        raise ValueError(f"family {family!r} requires eps")
-    if partner_b is not None and family != "su3six":
-        raise ValueError(f"partner_b applies to su3six only, not {family!r}")
+    if (eps is None) == (family in PARTNERED_FAMILIES):
+        need = "requires" if eps is None else "takes no"
+        raise ValueError(f"family {family!r} {need} eps")
+    if k is not None and family != "spin":
+        raise ValueError(f"k applies to the spin family only, not {family!r}")
     for name, value in (("delta", delta), ("slope", slope), ("eps", eps)):
         if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"{name} must be finite, got {value}")
 
     if family == "lz2":
-        return _build_lz2(delta, slope)
+        return _build_spin(2, delta, slope, family="lz2")
     if family == "spin":
         return _build_spin(k, delta, slope)
     if family == "adjoint3":
@@ -402,7 +380,7 @@ def build_model(family, delta=None, slope=None, eps=None, k=None, partner_b=None
     if family == "bowtieN":
         return _build_bowtieN(delta, slope, eps)
     if family == "su3six":
-        return _build_su3six(delta, slope, eps, partner_b=partner_b)
+        return _build_su3six(delta, slope, eps)
     return _build_su3adj8(delta, slope, eps)
 
 

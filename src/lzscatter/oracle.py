@@ -5,7 +5,7 @@ a finite horizon [-T, T], reads transition probabilities off the squared
 propagator entries (``S[i, j] = |U_ij|^2`` = probability of ending in
 level i having started in level j), and quantifies finite-horizon error
 by re-running at shorter horizons.  Phases oscillate without converging
-as T grows, so only probabilities are compared or extrapolated.
+as T grows, so only probabilities are compared.
 """
 
 from __future__ import annotations
@@ -31,33 +31,31 @@ class OracleResult:
     converged: bool
 
 
-def default_horizon(model: AffineModel, eps=None) -> float:
+def default_horizon(model: AffineModel) -> float:
     """Horizon heuristic 300 * max(1, |eps|, delta^2 / min nonzero slope)."""
-    if eps is None:
-        eps = model.eps or 0.0
     deltas = np.atleast_1d(np.asarray(model.delta, dtype=float))
     dmax = float(np.abs(deltas).max())
     slopes = np.abs(np.diag(model.b).real)
     slopes = slopes[slopes > 0]
     smin = float(slopes.min()) if slopes.size else 1.0
-    return 300.0 * max(1.0, abs(float(eps)), dmax * dmax / smin)
+    return 300.0 * max(1.0, abs(model.eps or 0.0), dmax * dmax / smin)
 
 
-def _horizon(model, eps, t_final):
+def _horizon(model, t_final):
     if t_final is None:
-        t_final = default_horizon(model, eps)
+        t_final = default_horizon(model)
     if not 0 < t_final < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {t_final}")
     return t_final
 
 
-def propagate(model: AffineModel, eps=None, t_final=None, settings=None) -> np.ndarray:
-    """Unitary U(T, -T) whose columns solve i du/dt = H(t, eps) u."""
-    t_final = _horizon(model, eps, t_final)
-    return propagate_unitary((model.a_of(eps), model.b), -t_final, t_final, settings)
+def propagate(model: AffineModel, t_final=None, settings=None) -> np.ndarray:
+    """Unitary U(T, -T) whose columns solve i du/dt = H(t) u."""
+    t_final = _horizon(model, t_final)
+    return propagate_unitary((model.a_of(), model.b), -t_final, t_final, settings)
 
 
-def numeric_smatrix(model: AffineModel, eps=None, t_final=None, settings=None) -> OracleResult:
+def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleResult:
     """Transition probabilities with a finite-horizon error estimate.
 
     ``U(T, -T) = F(T, 0) G(T, 0)^dag`` with F the propagator of
@@ -70,8 +68,8 @@ def numeric_smatrix(model: AffineModel, eps=None, t_final=None, settings=None) -
     spread above 0.1 flags the result as non-converged (it is still
     returned).
     """
-    t_final = _horizon(model, eps, t_final)
-    a = model.a_of(eps)
+    t_final = _horizon(model, t_final)
+    a = model.a_of()
     mirrored = (np.stack((a, -a)), np.stack((model.b, model.b)))
     f = g = np.eye(model.k, dtype=complex)
     mats = []
@@ -95,72 +93,41 @@ def numeric_smatrix(model: AffineModel, eps=None, t_final=None, settings=None) -
     )
 
 
-def extrapolate(results):
-    """Entrywise 1/T fit of probability matrices; returns (S_inf, radius).
-
-    ``results`` is a list of (T, S) pairs with at least three strictly
-    increasing horizons.  The confidence radius is the largest residual of
-    the per-entry linear fits in 1/T.  If the sequence does not converge
-    monotonically toward the largest horizon, the largest-T matrix is
-    returned with the radius widened to the observed spread.
-    """
-    if len(results) < 3:
-        raise ValueError("need at least three horizons")
-    horizons = np.array([float(t) for t, _ in results])
-    if not np.all(np.diff(horizons) > 0):
-        raise ValueError("horizons must be strictly increasing")
-    mats = np.array([np.asarray(s, dtype=float) for _, s in results])
-    last = mats[-1]
-    dists = [float(np.abs(m - last).max()) for m in mats[:-1]]
-    monotone = all(a >= b - 1e-15 for a, b in zip(dists, dists[1:]))
-    if not monotone:
-        spread = float(np.max(np.abs(mats - last)))
-        return last.copy(), spread
-    # least squares for S(T) = S_inf + c / T, entrywise
-    x = 1.0 / horizons
-    design = np.column_stack([np.ones_like(x), x])
-    flat = mats.reshape(len(results), -1)
-    coef, *_ = np.linalg.lstsq(design, flat, rcond=None)
-    fitted = design @ coef
-    radius = float(np.abs(fitted - flat).max())
-    s_inf = coef[0].reshape(last.shape)
-    return s_inf, radius
-
-
-def adiabatic_spectrum(model: AffineModel, t_grid, eps=None):
+def adiabatic_spectrum(model: AffineModel, t_grid):
     """Instantaneous eigenvalue curves tracked continuously across t.
 
     Curves are matched between adjacent grid points by maximal eigenvector
-    overlap (optimal assignment), not by sorting, so they stay smooth
-    through avoided crossings.  Points where the best overlap is ambiguous
-    (squared overlap below 1/2, e.g. an exact degeneracy) fall back to
-    sorted order and are flagged.  The eigendecompositions of all grid
-    points are one stacked ``eigh`` call.
+    overlap, not by sorting, so they stay smooth through avoided crossings.
+    The squared overlaps ``|<v_i|w_j>|^2`` form a unistochastic matrix, so
+    an entry above 1/2 is the unique maximum of its row and of its column,
+    and a permutation of such entries is the optimal assignment: each
+    curve takes its row's argmax.  Points where that is ambiguous (a chosen
+    squared overlap below 1/2, e.g. an exact degeneracy, or two curves
+    choosing one eigenvector) fall back to sorted order and are flagged.
+    The eigendecompositions of all grid points are one stacked ``eigh``
+    call.
 
     Returns ``(curves, flags)`` with ``curves`` of shape (len(t_grid), k),
     column c holding the c-th tracked curve, and ``flags`` a boolean array
     marking fallback points.
     """
-    from scipy.optimize import linear_sum_assignment
-
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t grid must be a nonempty 1-d array")
     k = model.k
+    rows = np.arange(k)
     curves = np.empty((t_grid.size, k))
     flags = np.zeros(t_grid.size, dtype=bool)
     prev_vecs = None
-    values, vectors = np.linalg.eigh(np.stack([model.hamiltonian(t, eps) for t in t_grid]))
+    values, vectors = np.linalg.eigh(np.stack([model.hamiltonian(t) for t in t_grid]))
     for n, (w, vecs) in enumerate(zip(values, vectors)):
-        if prev_vecs is None:
-            order = np.arange(k)
-        else:
+        order = rows
+        if prev_vecs is not None:
             overlap = np.abs(prev_vecs.conj().T @ vecs) ** 2
-            rows, cols = linear_sum_assignment(-overlap)
-            order = np.empty(k, dtype=int)
-            order[rows] = cols
-            if overlap[rows, cols].min() < 0.5:
-                order = np.arange(k)
+            best = overlap.argmax(axis=1)
+            if overlap[rows, best].min() >= 0.5 and np.unique(best).size == k:
+                order = best
+            else:
                 flags[n] = True
         curves[n] = w[order]
         prev_vecs = vecs[:, order]

@@ -67,7 +67,7 @@ def curvature_residual(model: AffineModel, t: float, eps: float) -> np.ndarray:
     """Residual matrix dH/deps - dE/dt + i [E, H] at one (t, eps) point."""
     e = model.partner(t, eps)
     h = model.hamiltonian(t, eps)
-    return model.da_of(eps) - model.e1 + 1j * commutator(e, h)
+    return model.a1 - model.e1 + 1j * commutator(e, h)
 
 
 def verify_pair(model: AffineModel) -> CurvatureReport:

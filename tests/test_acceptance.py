@@ -5,6 +5,7 @@ criterion.  The numerical engine is the ground truth wherever a closed
 form is being adjudicated.
 """
 
+import dataclasses
 import math
 import time
 
@@ -161,9 +162,12 @@ def test_criterion_06_zero_curvature_all_pairs():
         rep = verify_pair(m)
         assert rep.passed, f"{m.family} residual {rep.max_residual:.2e}"
         worst = max(worst, rep.max_residual)
-    # detector check: an independent symbol b != a in the partner leaves
-    # a residual far above threshold
-    bad = verify_pair(build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8))
+    # detector check: the partner coupling e_0[1, 4] = -delta / a written
+    # with an independent symbol 0.8 != a leaves a residual far above threshold
+    su3 = build_model("su3six", delta=0.2, slope=0.4, eps=1.0)
+    e_0 = su3.e_0.copy()
+    e_0[1, 4] = e_0[4, 1] = -0.2 / 0.8
+    bad = verify_pair(dataclasses.replace(su3, e_0=e_0))
     assert not bad.passed
     assert bad.max_residual > 1e-3
     report(6, f"max residual {worst:.2e}; mismatch detector sees {bad.max_residual:.2e}")

@@ -287,13 +287,36 @@ def test_sweep_entry_column(tmp_path, capsys):
 
 def test_sweep_empty_range(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
-    code, _, _ = run(
-        capsys, "sweep", "--family", "lz2", "--delta", "1:1:0.5", "--slope", "1",
-        "--method", "algebraic", "--out", str(out_file),
-        "--ledger", str(tmp_path / "l.jsonl"),
-    )
-    assert code == 0
-    assert out_file.read_text().strip() == "delta"
+    ledger = tmp_path / "l.jsonl"
+    for params in (
+        ["--family", "lz2", "--delta", "1:1:0.5", "--slope", "1", "--method", "algebraic"],
+        ["--family", "bowtie3", "--delta", "1:0:0.1", "--slope", "1", "--eps", "1"],
+    ):
+        code, _, err = run(capsys, "sweep", *params,
+                           "--out", str(out_file), "--ledger", str(ledger))
+        assert code == 2
+        assert "holds no points" in err
+        assert not out_file.exists()
+        assert not ledger.exists()
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["smatrix", "--family", "bowtie3", "--k", "7", "--delta", "0.3", "--slope", "1",
+      "--eps", "1"], "spin family only"),
+    (["smatrix", "--family", "spin", "--k", "3", "--delta", "0.3", "--slope", "1",
+      "--eps", "5"], "takes no eps"),
+    (["sweep", "--family", "spin", "--k", "3", "--delta", "0.3", "--slope", "1",
+      "--eps", "0.5:2:0.5"], "takes no eps"),
+    (["model", "show", "--family", "lz2", "--delta", "0.3", "--slope", "1",
+      "--eps", "1"], "takes no eps"),
+], ids=["k-bowtie3", "eps-spin", "eps-sweep-spin", "eps-lz2"])
+def test_ignored_model_argument_exit_2_writes_no_record(tmp_path, capsys, argv, match):
+    ledger = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, *argv, "--ledger", str(ledger))
+    assert code == 2
+    assert match in err
+    assert out == ""
+    assert not ledger.exists()
 
 
 @pytest.mark.parametrize("span", ["0.5:inf:0.5", "nan:1:0.5", "0.5:1.5:nan"])
@@ -420,51 +443,50 @@ def test_negative_probability_exit_1_writes_no_record(tmp_path, capsys, monkeypa
     assert not ledger.exists()
 
 
-# Commands a fresh interpreter runs through ``cli.main``.  Only ``spectrum``
-# (optimal assignment) may load scipy; every command must print what the
-# in-process run prints.
-SCIPY_FREE_COMMANDS = [
+# Commands a fresh interpreter runs through ``cli.main``; none may load
+# scipy, and every command must print what the in-process run prints.
+COLD_COMMANDS = [
     ["smatrix", "--family=spin", "--k=3", "--delta=0.8", "--slope=1", "--method=algebraic"],
     ["smatrix", "--family=bowtie3", "--delta=0.3", "--slope=1", "--eps=-1",
      "--method=crossings"],
     ["smatrix", "--family=su3adj8", "--delta=0.2", "--slope=0.4", "--eps=1",
      "--method=crossings"],
+    ["smatrix", "--family=bowtie3", "--delta=0.3", "--slope=1", "--eps=1",
+     "--method=numeric", "--T=30"],
+    ["compare", "--family=bowtie3", "--delta=0.3", "--slope=1", "--eps=1",
+     "--methods", "crossings", "numeric", "--T=30"],
     ["sweep", "--family=bowtie3", "--delta=0.3", "--slope=0.5:1:0.25", "--eps=1",
      "--method=crossings"],
     ["zero-curvature", "--family=su3six", "--delta=0.2", "--slope=0.4", "--eps=1"],
     ["model", "show", "--family=su3adj8", "--delta=0.2", "--slope=0.4", "--eps=-1"],
-]
-SCIPY_COMMANDS = [
     ["spectrum", "--family=bowtie3", "--delta=0.3", "--slope=1", "--eps=1", "--steps=9"],
 ]
 COLD_SCRIPT = """
 import contextlib, io, json, sys
+if sys.argv[3] == "block":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m, mod in sys.modules.items()
+                  if mod is not None and (m == "scipy" or m.startswith("scipy.")))
 import lzscatter, lzscatter.cli
 report = {"import": scipy_modules(), "runs": []}
-def run(argv):
+for argv in json.loads(sys.argv[2]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = lzscatter.cli.main(argv + ["--ledger", sys.argv[1]])
     report["runs"].append([code, buf.getvalue()])
-for argv in json.loads(sys.argv[2]):
-    run(argv)
 report["commands"] = scipy_modules()
-for argv in json.loads(sys.argv[3]):
-    run(argv)
 print(json.dumps(report))
 """
 
 
-def test_cold_cli_leaves_scipy_unloaded(tmp_path, capsys):
+def cold_run(tmp_path, capsys, mode):
     # one fresh interpreter: this process has scipy loaded already, so only a
     # subprocess can see whether the package's own import path pulls it in
     src = Path(__file__).resolve().parent.parent / "src"
     ledger = str(tmp_path / "cold.jsonl")
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_SCRIPT, ledger,
-         json.dumps(SCIPY_FREE_COMMANDS), json.dumps(SCIPY_COMMANDS)],
+        [sys.executable, "-c", COLD_SCRIPT, ledger, json.dumps(COLD_COMMANDS), mode],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True,
     )
@@ -472,8 +494,18 @@ def test_cold_cli_leaves_scipy_unloaded(tmp_path, capsys):
     assert report["import"] == []
     assert report["commands"] == []
     expected = [list(run(capsys, *argv, "--ledger", str(tmp_path / "warm.jsonl"))[:2])
-                for argv in SCIPY_FREE_COMMANDS + SCIPY_COMMANDS]
+                for argv in COLD_COMMANDS]
     assert all(code == 0 for code, _ in expected)
     assert report["runs"] == expected
+
+
+def test_cold_cli_leaves_scipy_unloaded(tmp_path, capsys):
+    cold_run(tmp_path, capsys, "watch")
     # perfbench's span tracer wraps this attribute by name
     assert "brentq" in vars(crossings) and callable(crossings.brentq)
+
+
+def test_cli_runs_with_scipy_import_blocked(tmp_path, capsys):
+    # importing scipy raises in the subprocess, so a lazy scipy import
+    # anywhere on a command's path fails that command
+    cold_run(tmp_path, capsys, "block")

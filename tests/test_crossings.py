@@ -272,7 +272,8 @@ def test_oracle_pins_composition_orientation():
     s = compose(schedule_bowtie3(0.3, 1.0, 1.0), 3)
     assert np.abs(s - s_num).max() < 1e-2
     # and the mirrored case
-    u_neg = propagate(m, eps=-1.0, t_final=150.0, settings=OdeSettings(rtol=1e-7, atol=1e-9))
+    m_neg = build_model("bowtie3", delta=0.3, slope=1.0, eps=-1.0)
+    u_neg = propagate(m_neg, t_final=150.0, settings=OdeSettings(rtol=1e-7, atol=1e-9))
     s_neg = compose(schedule_bowtie3(0.3, 1.0, -1.0), 3)
     assert np.abs(s_neg - np.abs(u_neg) ** 2).max() < 1e-2
 

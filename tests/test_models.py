@@ -51,9 +51,13 @@ def test_spin_rep_rejects_k1():
 
 
 def test_lz2_matches_two_level_form():
-    m = build_model("lz2", delta=1.0, slope=1.0)
-    assert np.allclose(m.hamiltonian(0.0), np.array([[0, 1], [1, 0]]))
-    assert np.allclose(np.diag(m.b).real, [1.0, -1.0])
+    # lz2 is built as spin k = 2; its coefficients are the two-level form exactly
+    for d, a in ((1.0, 1.0), (0.7, 1.3), (-0.35, 2.5)):
+        m = build_model("lz2", delta=d, slope=a)
+        assert np.array_equal(m.a0, np.array([[0.0, d], [d, 0.0]], dtype=complex))
+        assert np.array_equal(m.a1, np.zeros((2, 2), dtype=complex))
+        assert np.array_equal(m.b, np.diag([a, -a]).astype(complex))
+        assert (m.k, m.eps, m.spin_basis_permutation) == (2, None, None)
 
 
 def test_spin_family_reproduces_lz2_at_k2():
@@ -220,6 +224,23 @@ def test_parameter_validation():
         build_model("bowtieN", delta=[0.1, 0.1], slope=[0.0, 1.0], eps=1.0)
     with pytest.raises(ValueError):
         build_model("bowtieN", delta=[0.1], slope=[1.0, 2.0], eps=1.0)
+    with pytest.raises(TypeError):
+        build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0, partnerb=0.8)
+
+
+@pytest.mark.parametrize("family, params, match", [
+    ("bowtie3", dict(delta=0.3, slope=1.0, eps=1.0, k=7), "spin family only"),
+    ("lz2", dict(delta=0.3, slope=1.0, k=2), "spin family only"),
+    ("adjoint3", dict(delta=0.3, slope=1.0, k=3), "spin family only"),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=1.0, k=8), "spin family only"),
+    ("spin", dict(k=3, delta=0.3, slope=1.0, eps=5.0), "takes no eps"),
+    ("lz2", dict(delta=0.3, slope=1.0, eps=0.0), "takes no eps"),
+    ("adjoint3", dict(delta=0.3, slope=1.0, eps=1.0), "takes no eps"),
+    ("su3six", dict(delta=0.2, slope=0.4), "requires eps"),
+])
+def test_arguments_a_family_ignores_are_rejected(family, params, match):
+    with pytest.raises(ValueError, match=match):
+        build_model(family, **params)
 
 
 @pytest.mark.parametrize("family, params", [
@@ -231,19 +252,6 @@ def test_parameter_validation():
 def test_non_finite_parameters_rejected(family, params):
     with pytest.raises(ValueError, match="must be finite"):
         build_model(family, **params)
-
-
-def test_partner_b_is_su3six_only():
-    su3 = build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8)
-    assert su3.e_0[1, 4] == pytest.approx(-0.2 / 0.8)
-    for family, params in (
-        ("bowtie3", dict(delta=0.3, slope=1.0, eps=1.0)),
-        ("lz2", dict(delta=0.3, slope=1.0)),
-    ):
-        with pytest.raises(ValueError, match="su3six only"):
-            build_model(family, partner_b=0.8, **params)
-    with pytest.raises(TypeError):
-        build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0, partnerb=0.8)
 
 
 def test_partner_errors():

@@ -11,7 +11,6 @@ from lzscatter.numerics import OdeSettings, propagate_unitary, unitarity_defect
 from lzscatter.oracle import (
     adiabatic_spectrum,
     default_horizon,
-    extrapolate,
     numeric_smatrix,
     propagate,
     spectrum_csv_lines,
@@ -128,53 +127,6 @@ def test_oracle_closed_form_coupling_extremes(coupling_sq):
     assert unitarity_defect(u) <= 10 * tight.rtol
 
 
-def test_extrapolate_exact_inverse_t_model():
-    s_inf = np.array([[0.3, 0.7], [0.7, 0.3]])
-    c = np.array([[0.2, -0.2], [-0.2, 0.2]])
-    seq = [(t, s_inf + c / t) for t in (50.0, 100.0, 200.0, 400.0)]
-    fit, radius = extrapolate(seq)
-    assert np.abs(fit - s_inf).max() < 1e-6
-    assert radius < 1e-10
-
-
-def test_extrapolate_constant_sequence():
-    s = np.full((2, 2), 0.5)
-    fit, radius = extrapolate([(10.0, s), (20.0, s), (40.0, s)])
-    assert np.abs(fit - s).max() < 1e-14
-    assert radius == pytest.approx(0.0, abs=1e-14)
-
-
-def test_extrapolate_shrinking_radius():
-    m = build_model("lz2", delta=0.8, slope=1.0)
-    seq = [
-        (t, numeric_smatrix(m, t_final=t, settings=FAST).s_num)
-        for t in (50.0, 100.0, 200.0)
-    ]
-    fit, radius = extrapolate(seq)
-    closed = lz_closed_form(0.8, 1.0)
-    assert np.abs(fit - closed).max() < np.abs(seq[0][1] - closed).max()
-
-
-def test_extrapolate_non_monotone_falls_back():
-    s = np.eye(2)
-    wobble = [
-        (10.0, s + 0.05),
-        (20.0, s + 0.2),  # mid horizon farther from the final value
-        (40.0, s),
-    ]
-    fit, radius = extrapolate(wobble)
-    assert np.array_equal(fit, wobble[-1][1])
-    assert radius >= 0.2
-
-
-def test_extrapolate_validation():
-    s = np.eye(2)
-    with pytest.raises(ValueError):
-        extrapolate([(10.0, s), (20.0, s)])
-    with pytest.raises(ValueError):
-        extrapolate([(10.0, s), (10.0, s), (20.0, s)])
-
-
 def test_spectrum_uncoupled_follows_diagonal():
     m = build_model("bowtie3", delta=0.0, slope=1.0, eps=0.4)
     grid = np.linspace(-3.0, 3.0, 121)
@@ -224,7 +176,7 @@ def test_spectrum_fallback_at_ambiguous_overlap():
     householder = np.eye(3) - 2.0 * np.outer(u, u)
     levels = np.diag([1.0, 2.0, 3.0])
 
-    def ham(t, eps=None):
+    def ham(t):
         if t < 0:
             return levels.astype(complex)
         return (householder @ levels @ householder).astype(complex)
@@ -235,13 +187,30 @@ def test_spectrum_fallback_at_ambiguous_overlap():
     assert list(curves[1]) == sorted(curves[1])
 
 
-def _spectrum_per_point(model, t_grid):
-    # reference: one eigendecomposition per grid point, same assignment rule
+def test_spectrum_fallback_at_tied_overlap(monkeypatch):
+    # a 45 degree basis change ties every squared overlap at 1/2; roundoff
+    # that lifts the ties to 0.5000000000000001 leaves both curves choosing
+    # the first eigenvector, which is no permutation, so the point falls
+    # back to sorted order and is flagged
+    c = 0.7071067811865476
+    vectors = np.array([np.eye(2), [[c, c], [c, -c]]], dtype=complex)
+    assert (np.abs(vectors[1]) ** 2).min() > 0.5
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (np.array([[1.0, 2.0]] * 2), vectors))
+    m = build_model("lz2", delta=0.5, slope=1.0)
+    curves, flags = adiabatic_spectrum(m, np.array([-1.0, 1.0]))
+    assert list(flags) == [False, True]
+    assert curves.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+
+
+def _spectrum_lsa(model, t_grid, stacked=True):
+    # reference: the optimal assignment of the squared overlaps (scipy),
+    # with one stacked eigh over the grid or one eigh per grid point
+    hs = [model.hamiltonian(t) for t in t_grid]
+    eigs = zip(*np.linalg.eigh(np.stack(hs))) if stacked else map(np.linalg.eigh, hs)
     curves = np.empty((t_grid.size, model.k))
     flags = np.zeros(t_grid.size, dtype=bool)
     prev_vecs = None
-    for n, t in enumerate(t_grid):
-        w, vecs = np.linalg.eigh(model.hamiltonian(t))
+    for n, (w, vecs) in enumerate(eigs):
         order = np.arange(model.k)
         if prev_vecs is not None:
             overlap = np.abs(prev_vecs.conj().T @ vecs) ** 2
@@ -269,11 +238,31 @@ def test_spectrum_stacked_matches_per_point(family, kwargs):
     gaps = np.diff(np.linalg.eigvalsh(np.stack([m.hamiltonian(t) for t in grid])), axis=1)
     assert gaps.min() < 1e-12
     curves, flags = adiabatic_spectrum(m, grid)
-    ref_curves, ref_flags = _spectrum_per_point(m, grid)
+    ref_curves, ref_flags = _spectrum_lsa(m, grid, stacked=False)
     assert np.abs(curves - ref_curves).max() <= 1e-12
     assert np.array_equal(flags, ref_flags)
     if family == "su3adj8":
         assert ref_flags.any()
+
+
+@pytest.mark.parametrize("family, kwargs, grid", [
+    ("bowtie3", dict(delta=2.0, slope=0.3, eps=1.0), np.linspace(-30.0, 30.0, 241)),
+    ("bowtie3", dict(delta=0.3, slope=1.0, eps=1.0), np.linspace(-10.0, 10.0, 7)),
+    ("bowtieN", dict(delta=[0.2, 0.3, 0.1], slope=[0.5, -1.0, 1.5], eps=0.5),
+     np.linspace(-6.0, 6.0, 201)),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=1.0), np.linspace(-10.0, 10.0, 401)),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=-1.0), np.linspace(-10.0, 10.0, 401)),
+    ("su3adj8", dict(delta=0.2, slope=0.5, eps=0.5), np.linspace(-4.0, 4.0, 33)),
+    ("spin", dict(k=5, delta=0.5, slope=1.0), np.linspace(-5.0, 5.0, 161)),
+], ids=["bowtie3", "bowtie3-coarse", "bowtieN", "su3six+", "su3six-", "su3adj8", "spin5"])
+def test_spectrum_argmax_equals_optimal_assignment(family, kwargs, grid):
+    # an overlap above 1/2 is the unique maximum of its row and column, so
+    # the row argmax reproduces the optimal assignment bit for bit
+    m = build_model(family, **kwargs)
+    curves, flags = adiabatic_spectrum(m, grid)
+    ref_curves, ref_flags = _spectrum_lsa(m, grid)
+    assert np.array_equal(curves, ref_curves)
+    assert np.array_equal(flags, ref_flags)
 
 
 def test_spectrum_csv_shape():

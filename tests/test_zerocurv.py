@@ -69,12 +69,20 @@ def test_verify_pair_detects_broken_partner():
     assert report.worst_term == "t"
 
 
+def mismatched_su3six():
+    # the partner coupling e_0[1, 4] = -d / a written with an independent
+    # symbol 0.8 in place of the sweep rate a = 0.4
+    m = build_model("su3six", delta=0.2, slope=0.4, eps=1.0)
+    e_0 = m.e_0.copy()
+    e_0[1, 4] = e_0[4, 1] = -0.2 / 0.8
+    return dataclasses.replace(m, e_0=e_0)
+
+
 def test_verify_pair_detects_mismatched_symbol():
-    # the partner coupling written with an independent symbol must equal
-    # the sweep rate; e_0[1, 4] is off by d/a - d/0.8 = 0.25, which i [e_0, a1]
-    # carries into the eps term with the flat-slope gap 1
-    m = build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8)
-    report = verify_pair(m)
+    # zero curvature pins the symbol to the sweep rate; e_0[1, 4] is off by
+    # d/a - d/0.8 = 0.25, which i [e_0, a1] carries into the eps term with
+    # the flat-slope gap 1
+    report = verify_pair(mismatched_su3six())
     assert not report.passed
     assert report.max_residual == pytest.approx(0.25)
     assert report.worst_term == "eps"
@@ -170,6 +178,6 @@ def test_certificate_sums_to_the_pointwise_residual():
 
 
 def test_certificate_detects_mismatched_symbol():
-    terms = certificate(build_model("su3six", delta=0.2, slope=0.4, eps=1.0, partner_b=0.8))
+    terms = certificate(mismatched_su3six())
     failing = {name for name, size in terms.items() if size > 1e-6}
     assert {"1", "eps", "t"} <= failing, terms
