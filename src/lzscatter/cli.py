@@ -390,10 +390,14 @@ def cmd_sweep(args):
         except (UnknownFamilyError, ValueError) as exc:
             raise UsageError(str(exc)) from None
         descriptor = model.descriptor()
+        # indices are 1-based: 0 would wrap to the last level, k + 1 would raise
+        k = model.k
+        outside = [f"{i},{j}" for i, j in entries or () if not (0 < i <= k and 0 < j <= k)]
+        if outside:
+            raise UsageError(f"entries {'; '.join(outside)} outside 1..{k}")
         if method is None:
             method = default_method(model.family)
         matrix, _meta = compute_smatrix(model, method, args)
-        k = matrix.shape[0]
         if entries is None:
             selected = [(i + 1, j + 1) for i in range(k) for j in range(k)]
         else:

@@ -26,21 +26,36 @@ propagation, every step generator is one real combination of them, and no
 generator: sixth order would need a third sample of ``H`` and nested
 commutators of the samples at every step.
 
-Each step exponentiates its three generators (the full step and its two
-halves) as one stack in a single ``eigh`` call: at dimensions up to 8 the
+The adaptive loop works in blocks.  A block is a run of up to
+``_BLOCK_STEPS`` steps from the last accepted time, each of the proposed
+size, clipped at ``t1`` and capped (below) one after the other, so the
+run follows the cap step by step.  The generators of every step of the block
+(the full step and its two halves, for every member) are formed at once,
+for the pair by one ``(3K, 7) @ (7, m 2n^2)`` product, and one stacked
+``eigh`` exponentiates all 3Km of them: at dimensions up to 8 the
 per-call overhead, not the arithmetic, is what costs.  The step-doubling
 error estimate is the Richardson one, ``|U_half - U_full| / (2^p - 1)`` for
-a generator of order p.  It is faithful only while a step turns the
-relative phase of the levels that ``[A, B]`` couples by less than 2 pi;
-beyond that the full and half-step propagators can agree while both are
-wrong.  So every step is also capped at ``h g(t_m) <= 2 pi``, with the gap
-``g`` estimated as ``(|[H, [H, C]]| / |C|)^(1/2)``: from the basis for the
-pair, from ``H = (H1 + H2) / 2`` and ``C ~ [H1, H2]`` at the step's two
-Gauss samples for a callable.
+a generator of order p, one entry per step.  The longest prefix of steps
+that each meet the tolerance is accepted and multiplied onto U; the
+controller then restarts from the first rejected step, shrunk by the usual
+factor, and the exponentials of the steps after it are discarded.  A block
+starts at ``_FIRST_BLOCK_STEPS`` steps, doubles after it is accepted whole
+and halves after a rejection, which keeps that discarded tail to a few per
+cent of the exponentials.
+
+The Richardson estimate is faithful only while a step turns the relative
+phase of the levels that ``[A, B]`` couples by less than 2 pi; beyond that
+the full and half-step propagators can agree while both are wrong.  So
+every step is also capped at ``h g(t_m) <= 2 pi`` at its own midpoint
+``t_m``, with the gap ``g`` estimated as ``(|[H, [H, C]]| / |C|)^(1/2)``:
+from the basis for the pair, from ``H = (H1 + H2) / 2`` and
+``C ~ [H1, H2]`` at the step's two Gauss samples for a callable.  A capped
+step whose cap grows along it (toward a smaller gap) is shortened until it
+meets the cap at its own midpoint.
 
 A pair may be a stack of m pairs ``(m, n, n)``; the members share every
-step (the error is the largest, the cap the smallest over them), and one
-``eigh`` exponentiates all 3m generators.  That is what makes the fold at
+step (the error is the largest, the cap the smallest over them), and a
+block's one ``eigh`` exponentiates the generators of all of them.  That is what makes the fold at
 ``t = 0`` cheap.  For ``W(s) = U(-s, 0)``, ``i dW/ds = (-A + s B) W``, so
 
     U(T, -T) = F(T, 0) G(T, 0)^dag,
@@ -65,6 +80,16 @@ _SQRT3 = np.sqrt(3.0)
 # and half-step propagators can agree while both are wrong, and step
 # doubling under-reported the error by up to 10^4 (rtol 1e-6, five families)
 _MAX_STEP_PHASE = 2.0 * np.pi
+
+# steps per block: one stacked eigh exponentiates the generators of every
+# step of a block.  A block starts at _FIRST_BLOCK_STEPS, doubles after it
+# is accepted whole and halves after a rejection
+_BLOCK_STEPS = 32
+_FIRST_BLOCK_STEPS = 4
+
+# a capped step that misses the cap at its own midpoint is shortened by at
+# least this factor per pass
+_CAP_SHRINK = 0.999
 
 # smallest step fraction before the adaptive driver declares divergence
 _MIN_STEP_FRACTION = 1e-12
@@ -179,22 +204,27 @@ def _commutator(a, b):
 
 
 def _step_generators(hfun, t0):
-    """Dimension ``n``, a map ``(t, h) -> (3, m, n, n)``, the order, a step cap.
+    """Dimension ``n``, a map ``(t, h) -> (3, ..., m, n, n)``, the order, a step cap.
 
     The stack holds the generators of ``[t, t + h]``, ``[t, t + h/2]`` and
-    ``[t + h/2, t + h]``, in that order, for each of the ``m`` members.  A
-    callable (``m = 1``) gets the fourth-order Gauss generator, a pair
-    ``(A, B)`` the sixth-order closed form; ``A`` and ``B`` are matrices
-    (``m = 1``) or stacks of ``m`` of them.  The cap maps a step ``(t, h)``
-    to the largest step allowed there, ``2 pi`` over the coupled gap at the
-    step's midpoint, the smallest over the members: from the basis for the
-    pair, from the step's two Gauss samples for a callable.
+    ``[t + h/2, t + h]``, in that order, for each of the ``m`` members.
+    ``t`` and ``h`` are scalars, giving ``(3, m, n, n)``, or equal-shape
+    arrays of the steps of a block, giving ``(3, K, m, n, n)`` for K steps.
+    A callable (``m = 1``) gets the fourth-order Gauss generator, one step
+    at a time; a pair ``(A, B)`` the sixth-order closed form, every step of
+    the block in one product; ``A`` and ``B`` are matrices (``m = 1``) or
+    stacks of ``m`` of them.  The cap maps a scalar step ``(t, h)`` to the
+    largest step allowed there, ``2 pi`` over the coupled gap at the step's
+    midpoint, the smallest over the members: from the basis for the pair,
+    from the step's two Gauss samples for a callable.
     """
     if callable(hfun):
         n = _require_hermitian(hfun(t0), "H(t0)").shape[0]
         c = _SQRT3 / 6.0
 
         def generators(t, h):
+            if np.ndim(t):
+                return np.stack([generators(t_j, h_j) for t_j, h_j in zip(t, h)], axis=1)
             return np.stack((
                 _magnus_generator(hfun, t, h),
                 _magnus_generator(hfun, t, 0.5 * h),
@@ -220,8 +250,8 @@ def _step_generators(hfun, t0):
         raise ValueError(f"dimension mismatch: A {a.shape} vs B {b.shape}")
     m, n, _ = a.shape
     # the basis holds seven Hermitian matrices per member and each
-    # generator is one real combination of them, formed for every member
-    # at once by one product on the float view of the basis
+    # generator is one real combination of them, formed for every step and
+    # member at once by one product on the float view of the basis
     c = _commutator(a, b)
     bc = _commutator(b, c)
     ac = _commutator(a, c)
@@ -231,19 +261,19 @@ def _step_generators(hfun, t0):
     )).reshape(7, m, n * n)
     basis_re = basis.reshape(7, -1).view(float)
 
-    def row(step, mid):
-        # coefficients of the generator of [mid - step/2, mid + step/2]
-        h5 = step ** 5 / 720.0
-        return (step, step * mid, step ** 3 / 12.0, 3.0 * h5, h5, 2.0 * h5 * mid, h5 * mid * mid)
-
     def generators(t, h):
+        # row j of coef holds the coefficients of the generator of
+        # [mid_j - step_j/2, mid_j + step_j/2]
+        t = np.asarray(t, dtype=float)
+        h = np.asarray(h, dtype=float)
         half = 0.5 * h
-        coef = np.array((
-            row(h, t + half),
-            row(half, t + 0.5 * half),
-            row(half, t + 1.5 * half),
-        ))
-        return (coef @ basis_re).view(complex).reshape(3, m, n, n)
+        step = np.stack((h, half, half))
+        mid = np.stack((t + half, t + 0.5 * half, t + 1.5 * half))
+        h5 = step ** 5 / 720.0
+        coef = np.stack((step, step * mid, step ** 3 / 12.0, 3.0 * h5, h5,
+                         2.0 * h5 * mid, h5 * mid * mid), axis=-1)
+        out = coef.reshape(-1, 7) @ basis_re
+        return out.view(complex).reshape(coef.shape[:-1] + (m, n, n))
 
     # the gap g(t) is estimated as (|[H, [H, C]]| / |C|)^(1/2) (Frobenius,
     # H = H(t)); |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of
@@ -269,8 +299,34 @@ def _step_generators(hfun, t0):
     return n, generators, 6, max_step
 
 
+def _capped_step(max_step, t, h, h_floor):
+    # the proposed step h from t, shortened until it meets the cap at its
+    # own midpoint, or None where the cap is below the floor.  Each pass
+    # shortens it by at least _CAP_SHRINK, so a cap that grows along the
+    # step (as toward a smaller gap) settles in a few passes
+    h_max = max_step(t, h)
+    while abs(h) > h_max:
+        # a cap that shrinks toward zero would otherwise loop forever
+        if h_max < h_floor:
+            return None
+        h = math.copysign(min(h_max, _CAP_SHRINK * abs(h)), h)
+        h_max = max_step(t, h)
+    return h
+
+
+def _ordered_product(mats):
+    # mats[-1] @ ... @ mats[0] for a stack of matrices (or of matrix
+    # stacks), as pairwise products: log2(p) batched matmuls, not p
+    while len(mats) > 1:
+        even = len(mats) - len(mats) % 2
+        pairs = mats[1:even:2] @ mats[0:even:2]
+        mats = np.concatenate((pairs, mats[even:])) if even < len(mats) else pairs
+    return mats[0]
+
+
 def _propagate(hfun, t0, t1, settings):
-    # the adaptive loop; (m, n, n), one propagator per member
+    # the adaptive loop over blocks of steps; (m, n, n), one propagator
+    # per member
     n, generators, order, max_step = _step_generators(hfun, t0)
     # Richardson: the two half steps carry 2^-order of the full step's error
     divisor = 2.0 ** order - 1.0
@@ -282,27 +338,45 @@ def _propagate(hfun, t0, t1, settings):
     h_prop = span * 1e-3
     tol = settings.atol + settings.rtol
     h_floor = _MIN_STEP_FRACTION * abs(span)
+    length = _FIRST_BLOCK_STEPS
     while (t1 - t) * direction > 0.0:
-        h = h_prop
-        if (t + h - t1) * direction > 0.0:
-            h = t1 - t
-        h_max = max_step(t, h)
-        if abs(h) > h_max:
-            # a cap that shrinks toward zero would otherwise loop forever
-            if h_max < h_floor:
-                raise IntegrationDivergedError(
-                    f"magnus step cap {h_max!r} below the underflow floor at t = {t!r}", t
-                )
-            h = h_max * direction
-        full, first, second = _expmi(generators(t, h))
+        # the block: up to `length` steps of the proposed size from t, each
+        # clipped at t1 and capped at its own midpoint
+        starts, steps = [], []
+        s = t
+        while len(steps) < length and (t1 - s) * direction > 0.0:
+            h = h_prop if (s + h_prop - t1) * direction <= 0.0 else t1 - s
+            h = _capped_step(max_step, s, h, h_floor)
+            if h is None:
+                if not steps:
+                    raise IntegrationDivergedError(
+                        f"magnus step cap below the underflow floor at t = {t!r}", t
+                    )
+                # the block ends where the cap fails; if all of it is
+                # accepted, the next block raises from there
+                break
+            starts.append(s)
+            steps.append(h)
+            s = t1 if h == t1 - s else s + h
+        full, first, second = _expmi(generators(np.array(starts), np.array(steps)))
         half = second @ first
-        err = float(np.abs(half - full).max()) / divisor
-        if err <= tol:
-            u = half @ u
-            t = t + h
-            h_prop = h * min(2.5, max(0.2, 0.9 * (tol / max(err, 1e-300)) ** exponent))
+        err = np.abs(half - full).reshape(len(steps), -1).max(axis=1) / divisor
+        # accept the longest prefix of steps that each meet the tolerance
+        passed = err <= tol
+        accepted = len(steps) if passed.all() else int(passed.argmin())
+        if accepted:
+            u = _ordered_product(half[:accepted]) @ u
+            # the accepted steps end where the first rejected one starts
+            t = starts[accepted] if accepted < len(steps) else s
+        if accepted == len(steps):
+            e = float(err[-1])
+            h_prop = steps[-1] * min(2.5, max(0.2, 0.9 * (tol / max(e, 1e-300)) ** exponent))
+            length = min(2 * length, _BLOCK_STEPS)
         else:
-            h_prop = h * max(0.1, 0.9 * (tol / err) ** exponent)
+            # restart from the first rejected step
+            e = float(err[accepted])
+            h_prop = steps[accepted] * max(0.1, 0.9 * (tol / e) ** exponent)
+            length = max(length // 2, _FIRST_BLOCK_STEPS)
             if abs(h_prop) < h_floor:
                 raise IntegrationDivergedError(
                     f"magnus step underflow at t = {t!r}", t
@@ -320,12 +394,16 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     in closed form (module docstring), a real combination of seven matrices
     formed once per call; a callable is sampled at the two Gauss points of
     every step for the fourth-order generator.  Both forms run through one
-    adaptive stepping loop with step-doubling error control (Richardson
-    divisor ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p, the
-    error the largest over the members), and each step exponentiates the
-    full-step and two half-step generators of every member as one stacked
-    ``eigh``.  A step is also kept below one turn of the relative phase of
-    the levels ``[A, B]`` couples, where the error estimate stops being
+    adaptive loop with step-doubling error control (Richardson divisor
+    ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p, the error the
+    largest over the members).  The loop proposes a block of up to 32 steps
+    of one size, each clipped at ``t1`` and capped in turn, and
+    exponentiates the full-step and two half-step generators of every step
+    and member of the block as one stacked ``eigh``.  It accepts the longest
+    prefix of steps that each meet the tolerance and restarts from the
+    first rejected one, discarding the rest of the block.  Every step is
+    also kept below one turn of the relative phase of the levels ``[A, B]``
+    couples at its own midpoint, where the error estimate stops being
     faithful; a callable estimates that gap from its Gauss samples.
 
     An unstacked pair whose interval has 0 strictly inside is folded there:

@@ -285,6 +285,24 @@ def test_sweep_entry_column(tmp_path, capsys):
         assert s11 == pytest.approx(u * u, rel=1e-12)
 
 
+@pytest.mark.parametrize("entries", ["0,0", "3,3", "1,1;1,3"])
+def test_sweep_entry_out_of_range_exit_2_writes_no_record(tmp_path, capsys, entries):
+    # 0 used to wrap to the last level (exit 0, a column S_0_0) and 3 on a
+    # two-level model raised IndexError (exit 3)
+    out_file = tmp_path / "sweep.csv"
+    ledger = tmp_path / "l.jsonl"
+    code, out, err = run(
+        capsys, "sweep", "--family", "lz2", "--delta", "0.1:0.3:0.1", "--slope", "1",
+        "--method", "algebraic", "--entries", entries,
+        "--out", str(out_file), "--ledger", str(ledger),
+    )
+    assert code == 2
+    assert "outside 1..2" in err
+    assert out == ""
+    assert not out_file.exists()
+    assert not ledger.exists()
+
+
 def test_sweep_empty_range(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     ledger = tmp_path / "l.jsonl"

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lzscatter import numerics
 from lzscatter.models import build_model
 from lzscatter.numerics import (
     IntegrationDivergedError,
@@ -315,3 +316,141 @@ def test_stacked_expmi_matches_single_exponentials():
         assert np.abs(u - _expmi(m)).max() <= 1e-14
         assert np.abs(u - expm(-1j * m)).max() <= 1e-12
         assert unitarity_defect(u) <= 1e-14
+
+
+def _record_blocks(monkeypatch):
+    # one record per adaptive loop: the (t, h) arrays of every block it
+    # hands to `generators`, with that loop's generator map, order and cap
+    runs = []
+    real = numerics._step_generators
+
+    def recording(hfun, t0):
+        n, generators, order, max_step = real(hfun, t0)
+        blocks = []
+        runs.append((blocks, generators, order, max_step))
+
+        def recorded(t, h):
+            blocks.append((np.array(t, dtype=float), np.array(h, dtype=float)))
+            return generators(t, h)
+
+        return n, recorded, order, max_step
+
+    monkeypatch.setattr(numerics, "_step_generators", recording)
+    return runs
+
+
+def _replay(blocks, generators, order, max_step, t0, tol):
+    """Accepted (t, h) steps of one loop, replaying the prefix rule.
+
+    Checks that every block starts where the accepted steps end, that a
+    block rejected at step j is followed by one that starts with a shorter
+    step from there, and that every step meets the cap at its own midpoint.
+    """
+    accepted = []
+    end = t0
+    capped = 0
+    for i, (t, h) in enumerate(blocks):
+        assert t[0] == end
+        # within a block each step starts where the previous one ends
+        assert np.array_equal(t[1:], t[:-1] + h[:-1])
+        caps = np.array([max_step(t_j, h_j) for t_j, h_j in zip(t, h)])
+        assert np.all(np.abs(h) <= caps * (1.0 + 1e-12))
+        capped += int(np.sum(np.abs(h) >= 0.99 * caps))
+        full, first, second = _expmi(generators(t, h))
+        err = np.abs(second @ first - full).reshape(len(t), -1).max(axis=1) / (2.0 ** order - 1)
+        passed = err <= tol
+        prefix = len(t) if passed.all() else int(passed.argmin())
+        accepted.extend(zip(t[:prefix], h[:prefix]))
+        if prefix:
+            end = t[prefix - 1] + h[prefix - 1]
+        if prefix < len(t) and i + 1 < len(blocks):
+            assert abs(blocks[i + 1][1][0]) < abs(h[prefix])
+    return accepted, capped
+
+
+@pytest.mark.parametrize("form", ["pair", "stacked", "folded", "callable"])
+def test_block_schedule(monkeypatch, form):
+    # the steps each block exponentiates, replayed: the accepted ones are
+    # contiguous from t0 to t1, each passed its own Richardson estimate,
+    # and every step, accepted or not, meets the cap at its midpoint
+    spin = build_model("spin", k=3, delta=0.5, slope=1.2)
+    a, b = spin.a_of(), spin.b
+    loose = OdeSettings(rtol=1e-6, atol=1e-8)
+    rng = np.random.default_rng(7)
+    cases = {
+        # inward, so the cap grows along each capped step
+        "pair": ((a, b), 100.0, 5.0, loose),
+        "stacked": ((np.stack([_random_hamiltonian(4, seed) for seed in range(3)]),
+                     np.stack([np.diag(rng.uniform(-2.0, 2.0, size=4)).astype(complex)
+                               for _ in range(3)])), 5.0, 1.0, OdeSettings(rtol=1e-8, atol=1e-10)),
+        "folded": ((a, b), -60.0, 80.0, loose),
+        "callable": (lambda t: a + t * b, -100.0, 100.0, loose),
+    }
+    hfun, t0, t1, settings_ = cases[form]
+    runs = _record_blocks(monkeypatch)
+    propagate_unitary(hfun, t0, t1, settings_)
+    # the folded pair is a lockstep run of F and G from 0, then the longer
+    # one finished alone
+    starts = {"folded": [(0.0, 60.0), (60.0, 80.0)]}.get(form, [(t0, t1)])
+    assert len(runs) == len(starts)
+    tol = settings_.atol + settings_.rtol
+    capped = 0
+    for (blocks, generators, order, max_step), (start, stop) in zip(runs, starts):
+        assert len(blocks) < sum(len(t) for t, _ in blocks)
+        accepted, run_capped = _replay(blocks, generators, order, max_step, start, tol)
+        capped += run_capped
+        t_last, h_last = accepted[-1]
+        assert t_last + h_last == pytest.approx(stop, rel=1e-15)
+        assert sum(len(t) for t, _ in blocks) - len(accepted) < 0.2 * len(accepted)
+    if form != "stacked":
+        assert capped > 0
+
+
+@pytest.mark.parametrize("hfun, match", [
+    # |H| = 1/(1 - t)^2 blows up at t = 1: the step size underflows there
+    (lambda t: SIGMA1 / (1.0 - t) ** 2, "underflow"),
+    # the coupled gap jumps to ~1e14 past t = 0.5: the cap falls below the
+    # floor at the first step whose Gauss samples reach past it
+    (lambda t: SIGMA1 + t * (1e14 if t > 0.5 else 1.0) * SIGMA3, "cap"),
+], ids=["step-underflow", "cap-floor"])
+def test_block_divergence_reports_last_accepted_time(monkeypatch, hfun, match):
+    runs = _record_blocks(monkeypatch)
+    settings_ = OdeSettings(rtol=1e-6, atol=1e-8)
+    with pytest.raises(IntegrationDivergedError, match=match) as err:
+        propagate_unitary(hfun, 0.0, 2.0, settings_)
+    (blocks, generators, order, max_step), = runs
+    accepted, _ = _replay(blocks, generators, order, max_step, 0.0, settings_.atol + settings_.rtol)
+    t_last, h_last = accepted[-1]
+    assert err.value.last_t == t_last + h_last
+    assert 0.45 < err.value.last_t <= 1.05
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans())
+def test_random_pairs_meet_tolerance(dim, members, seed, through_zero, backward):
+    # the block loop on random Hermitian A and B, on intervals that have 0
+    # strictly inside (folded when unstacked) or at most at an end
+    rng = np.random.default_rng(seed)
+
+    def hermitian(scale):
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return scale * (raw + raw.conj().T) / 2
+
+    a = np.stack([hermitian(1.0) for _ in range(members)])
+    b = np.stack([hermitian(0.5) for _ in range(members)])
+    near, far = rng.uniform(0.0, 2.0), rng.uniform(2.5, 4.0)
+    sign = rng.choice((-1.0, 1.0))
+    t0, t1 = (-sign * near, sign * far) if through_zero else (sign * near, sign * far)
+    if backward:
+        t0, t1 = t1, t0
+    pair = (a[0], b[0]) if members == 1 else (a, b)
+    loose = OdeSettings(rtol=1e-8, atol=1e-10)
+    u = propagate_unitary(pair, t0, t1, loose)
+    exact = propagate_unitary(pair, t0, t1, OdeSettings(rtol=1e-12, atol=1e-14))
+    assert max(unitarity_defect(x) for x in u.reshape(-1, dim, dim)) <= 1e-12
+    assert np.abs(u - exact).max() <= 10 * loose.rtol
+    if members > 1:
+        for u_m, a_m, b_m in zip(u, a, b):
+            alone = propagate_unitary((a_m, b_m), t0, t1, loose)
+            assert np.abs(u_m - alone).max() <= 10 * loose.rtol
