@@ -425,7 +425,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p, need_eps=False):
+    def add_model_args(p):
         p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILIES)}")
         p.add_argument("--k", type=int, default=None, help="dimension (spin family)")
         p.add_argument("--delta", required=True, help="coupling (comma list for bowtieN)")

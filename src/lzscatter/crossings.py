@@ -20,12 +20,24 @@ ordinary probability matrix parametrized by the bright weights.  For the
 shipped families the flat-pair state stays diagonal in every such event's
 eigenframe, which keeps the plain probability product exact; the oracle
 validates this.
+
+``derive_schedule_generic`` samples each segment's diagonal, brackets
+every sign change of a level gap and refines it with ``brentq``.  One
+union-find (``_components``) then does all the grouping: crossings within
+``_CLUSTER_TOL`` of the segment length of one another that share a level
+form a cluster; the cluster takes along the degenerate companions of its
+levels; and the couplings of the path generator at the cluster split its
+levels into coupled components.  A component of two levels is a two-level
+event, one of three or four a three-level event with a flat level or a
+degenerate flat pair in the flat role; crossing pairs outside every
+component are trivial events.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -42,7 +54,7 @@ _COUPLING_TOL = 1e-12
 # relative tolerance for the structural pattern checks
 _PATTERN_TOL = 1e-6
 
-# detour half-width R, formally infinite; finite-R effects scale as 1/R^2
+# least detour half-width R, formally infinite; finite-R effects scale as 1/R^2
 R_SCALE = 1e8
 # detour height in units of (max diagonal slope) * R
 RAIL_FACTOR = 4.0
@@ -111,20 +123,24 @@ def default_path(model: AffineModel):
     """Rectangular detour: up at t = -R, across, down at t = +R.
 
     Returns the three segments as ``((t0, eps0), (t1, eps1))`` pairs, with
-    R = R_SCALE.  The rail height is RAIL_FACTOR * max|B_ii| * R on the side
-    of the model's nominal eps (the partner pole at eps = 0 is never
-    crossed).  The endpoints (-R, eps0) and (+R, eps0) match the undeformed
-    sweep, so the detour only reroutes the interior.
+    R = R_SCALE * max(1, |eps0| / min|B_ii|) over the nonzero slopes: the
+    crossings on the vertical segments sit at |eps| of order min|B_ii| * R,
+    so the detour must start far below them at any nominal eps.  The rail
+    height is RAIL_FACTOR * max|B_ii| * R on the side of the model's
+    nominal eps (the partner pole at eps = 0 is never crossed).  The
+    endpoints (-R, eps0) and (+R, eps0) match the undeformed sweep, so the
+    detour only reroutes the interior.
     """
     eps0 = float(model.eps or 0.0)
     if eps0 == 0.0:
         raise SingularPartnerError(
             "path deformation needs eps != 0 (partner pole at eps = 0)"
         )
-    smax = float(np.abs(np.diag(model.b).real).max())
+    slopes = np.abs(np.diag(model.b).real)
+    smax = float(slopes.max())
     if smax == 0.0:
         raise ValueError("model has no sweeping level")
-    r = R_SCALE
+    r = R_SCALE * max(1.0, abs(eps0) / float(slopes[slopes > 0.0].min()))
     rail = math.copysign(RAIL_FACTOR * smax * r, eps0)
     return (
         ((-r, eps0), (-r, rail)),
@@ -476,46 +492,10 @@ def _find_pair_crossings(segment, taus, samples, degenerate):
     return crossings
 
 
-def _cluster_crossings(crossings, segment_length):
-    """Group crossings that share a level at the same path position."""
-    tol = _CLUSTER_TOL * segment_length
-    clusters = []
-    for i, j, tau in crossings:
-        merged = None
-        for cluster in clusters:
-            if abs(cluster["tau"] - tau) <= tol and (
-                i in cluster["levels"] or j in cluster["levels"]
-            ):
-                merged = cluster
-                break
-        if merged is None:
-            clusters.append({"tau": tau, "levels": {i, j}, "pairs": {(i, j)}})
-        else:
-            merged["levels"] |= {i, j}
-            merged["pairs"].add((i, j))
-            merged["tau"] = min(merged["tau"], tau)
-    # transitive merge in case separate seeds turn out to touch
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                ca, cb = clusters[a], clusters[b]
-                if abs(ca["tau"] - cb["tau"]) <= tol and ca["levels"] & cb["levels"]:
-                    ca["levels"] |= cb["levels"]
-                    ca["pairs"] |= cb["pairs"]
-                    ca["tau"] = min(ca["tau"], cb["tau"])
-                    del clusters[b]
-                    changed = True
-                    break
-            if changed:
-                break
-    return clusters
-
-
-def _components(levels, edges):
-    levels = sorted(levels)
-    parent = {l: l for l in levels}
+def _components(nodes, edges):
+    """Connected components (union-find), each sorted, ordered by least member."""
+    nodes = sorted(nodes)
+    parent = {n: n for n in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -528,159 +508,97 @@ def _components(levels, edges):
         if ri != rj:
             parent[ri] = rj
     groups = {}
-    for l in levels:
-        groups.setdefault(find(l), []).append(l)
-    return [sorted(g) for g in groups.values()]
+    for n in nodes:
+        groups.setdefault(find(n), []).append(n)
+    return list(groups.values())
 
 
-def _classify_cluster(cluster, segment, degenerate, counter):
-    """Turn one crossing cluster into events (coupled blocks + trivial pairs)."""
-    tau = cluster["tau"]
-    levels = set(cluster["levels"])
+def _cluster_events(pairs, gmat, slopes, loc, degenerate):
+    """Events of one crossing cluster: coupled blocks first, then free pairs.
+
+    ``pairs`` are the cluster's crossing level pairs (0-based), ``gmat`` and
+    ``slopes`` the path generator and its diagonal slopes at the cluster,
+    ``loc`` its ``(t/R, eps/R)`` and ``degenerate`` the identically equal
+    level pairs of the segment.  Event indices are left at 0.
+    """
+    levels = {l for pair in pairs for l in pair}
     # degenerate companions ride along with any member they shadow
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in degenerate:
-            if (i in levels) != (j in levels):
-                levels |= {i, j}
-                changed = True
-    levels = sorted(levels)
-    gmat = segment.generator(tau)
-    slopes = segment.diag_slope(tau)
-    t_star, e_star = segment.point(tau)
-    loc = (t_star / R_SCALE, e_star / R_SCALE)
-
-    couplings = {}
-    cscale = 1.0
-    for a in range(len(levels)):
-        for b in range(a + 1, len(levels)):
-            value = abs(gmat[levels[a], levels[b]])
-            couplings[(levels[a], levels[b])] = value
-            cscale = max(cscale, value)
-    coupled_edges = [p for p, v in couplings.items() if v > _COUPLING_TOL * cscale]
-    comps = [c for c in _components(levels, coupled_edges) if len(c) > 1]
-
-    events = []
-    for comp in comps:
-        events.append(
-            _component_event(comp, gmat, slopes, loc, degenerate, counter)
-        )
+    for group in _components(range(len(slopes)), degenerate):
+        if levels.intersection(group):
+            levels.update(group)
+    couplings = {(i, j): abs(gmat[i, j]) for i, j in combinations(sorted(levels), 2)}
+    cscale = max([1.0, *couplings.values()])
+    coupled = [p for p, v in couplings.items() if v > _COUPLING_TOL * cscale]
+    comps = [c for c in _components(levels, coupled) if len(c) > 1]
+    events = [_component_event(c, gmat, slopes, loc, degenerate) for c in comps]
     # crossing pairs not absorbed into a coupled block pass through freely
-    comp_sets = [set(c) for c in comps]
-    for (i, j) in sorted(cluster["pairs"]):
-        if any(i in cs and j in cs for cs in comp_sets):
-            continue
-        pair = sorted((i, j), key=lambda l: (abs(slopes[l]), l))
-        events.append(
-            CrossingEvent(
-                index=next(counter),
-                t_over_r=loc[0],
-                eps_over_r=loc[1],
-                levels=(pair[0] + 1, pair[1] + 1),
-                delta_eff=0.0,
-                slope_eff=0.5 * abs(slopes[i] - slopes[j]),
-                kind="trivial",
-            )
-        )
+    for pair in sorted(pairs):
+        if not any(set(pair) <= set(c) for c in comps):
+            events.append(_crossing_pair_event(pair, 0.0, slopes, loc))
     return events
 
 
-def _component_event(comp, gmat, slopes, loc, degenerate, counter):
+def _crossing_pair_event(pair, coupling, slopes, loc):
+    """Pair event of two crossing levels (0-based), the flatter level first."""
+    i, j = sorted(pair, key=lambda l: (abs(slopes[l]), l))
+    slope_eff = 0.5 * abs(slopes[i] - slopes[j])
+    return _pair_event(0, loc[0], loc[1], (i + 1, j + 1), coupling, slope_eff)
+
+
+def _component_event(comp, gmat, slopes, loc, degenerate):
+    """The event of one coupled component (sorted 0-based levels) of a cluster.
+
+    Two levels make a two-level event.  Three or four make a three-level
+    event of a sloped pair meeting a flat level midway: the flat role is
+    carried by one level (the sloped pair is then the component's one
+    uncoupled pair) or by a degenerate flat pair, which enters through its
+    bright combination.
+    """
     if len(comp) == 2:
-        i, j = comp
-        pair = sorted(comp, key=lambda l: (abs(slopes[l]), l))
-        return CrossingEvent(
-            index=next(counter),
-            t_over_r=loc[0],
-            eps_over_r=loc[1],
-            levels=(pair[0] + 1, pair[1] + 1),
-            delta_eff=float(abs(gmat[i, j])),
-            slope_eff=0.5 * abs(slopes[i] - slopes[j]),
-            kind="two-level",
-        )
+        return _crossing_pair_event(comp, gmat[comp[0], comp[1]], slopes, loc)
+    names = [l + 1 for l in comp]
+    if len(comp) > 4:
+        raise UnsupportedCrossingError(f"{len(comp)} mutually coupled crossing levels {names}")
+    tol = _PATTERN_TOL * max(abs(gmat[i, j]) for i, j in combinations(comp, 2))
     if len(comp) == 3:
-        return _three_level_event(comp, gmat, slopes, loc, counter)
-    if len(comp) == 4:
-        return _reduced_event(comp, gmat, slopes, loc, degenerate, counter)
-    raise UnsupportedCrossingError(
-        f"{len(comp)} mutually coupled crossing levels {sorted(l + 1 for l in comp)}"
-    )
-
-
-def _three_level_event(comp, gmat, slopes, loc, counter):
-    # the sloped pair is the one uncoupled pair of the component
-    cvals = {
-        (a, b): abs(gmat[a, b]) for a in comp for b in comp if a < b
-    }
-    cscale = max(cvals.values())
-    zero_pairs = [p for p, v in cvals.items() if v <= _PATTERN_TOL * cscale]
-    if len(zero_pairs) != 1:
-        raise UnsupportedCrossingError(
-            f"three-level cluster {sorted(l + 1 for l in comp)} lacks the "
-            "sloped-pair/flat structure"
-        )
-    s_a, s_b = zero_pairs[0]
-    flat = next(l for l in comp if l not in zero_pairs[0])
-    c1, c2 = abs(gmat[s_a, flat]), abs(gmat[s_b, flat])
-    span = abs(slopes[s_a] - slopes[s_b])
-    if abs(c1 - c2) > _PATTERN_TOL * cscale or span == 0.0:
-        raise UnsupportedCrossingError("asymmetric three-level cluster")
-    mid = 0.5 * (slopes[s_a] + slopes[s_b])
-    if abs(slopes[flat] - mid) > _PATTERN_TOL * span:
-        raise UnsupportedCrossingError("flat level off-center in three-level cluster")
-    return CrossingEvent(
-        index=next(counter),
-        t_over_r=loc[0],
-        eps_over_r=loc[1],
-        levels=(min(s_a, s_b) + 1, max(s_a, s_b) + 1, flat + 1),
-        delta_eff=0.5 * (c1 + c2),
-        slope_eff=0.5 * span,
-        kind="three-level",
-    )
-
-
-def _reduced_event(comp, gmat, slopes, loc, degenerate, counter):
-    flat_pair = next(
-        ((i, j) for (i, j) in degenerate if i in comp and j in comp), None
-    )
-    if flat_pair is None:
-        raise UnsupportedCrossingError(
-            f"4-level cluster {sorted(l + 1 for l in comp)} has no degenerate flat pair"
-        )
-    f1, f2 = flat_pair
-    sloped = [l for l in comp if l not in flat_pair]
-    s_a, s_b = sorted(sloped)
-    cscale = max(abs(gmat[a, b]) for a in comp for b in comp if a < b)
-    if abs(gmat[s_a, s_b]) > _PATTERN_TOL * cscale or abs(gmat[f1, f2]) > _PATTERN_TOL * cscale:
-        raise UnsupportedCrossingError("coupled sloped pair in reduced cluster")
-    v_a = np.array([gmat[f1, s_a], gmat[f2, s_a]])
-    v_b = np.array([gmat[f1, s_b], gmat[f2, s_b]])
+        uncoupled = [p for p in combinations(comp, 2) if abs(gmat[p]) <= tol]
+        if len(uncoupled) != 1:
+            raise UnsupportedCrossingError(
+                f"three-level cluster {names} lacks the sloped-pair/flat structure"
+            )
+        s_a, s_b = uncoupled[0]
+        flats = [l for l in comp if l not in uncoupled[0]]
+    else:
+        flats = next((list(p) for p in sorted(degenerate) if set(p) <= set(comp)), None)
+        if flats is None:
+            raise UnsupportedCrossingError(
+                f"4-level cluster {names} has no degenerate flat pair"
+            )
+        s_a, s_b = (l for l in comp if l not in flats)
+        if abs(gmat[s_a, s_b]) > tol or abs(gmat[flats[0], flats[1]]) > tol:
+            raise UnsupportedCrossingError(f"coupled sloped or flat pair in cluster {names}")
+    v_a, v_b = gmat[flats, s_a], gmat[flats, s_b]
     na, nb = np.linalg.norm(v_a), np.linalg.norm(v_b)
-    if abs(na - nb) > _PATTERN_TOL * cscale:
-        raise UnsupportedCrossingError("unequal coupling strengths in reduced cluster")
-    alignment = abs(np.vdot(v_a, v_b)) / (na * nb)
-    if 1.0 - alignment > _PATTERN_TOL:
+    if abs(na - nb) > tol:
+        raise UnsupportedCrossingError(f"unequal couplings to the flat role in cluster {names}")
+    if 1.0 - abs(np.vdot(v_a, v_b)) / (na * nb) > _PATTERN_TOL:
         # the two sloped levels couple to different flat directions: no
         # common dark state, genuinely four coupled levels
-        raise UnsupportedCrossingError(
-            f"4 mutually coupled crossing levels {sorted(l + 1 for l in comp)}"
-        )
+        raise UnsupportedCrossingError(f"4 mutually coupled crossing levels {names}")
     span = abs(slopes[s_a] - slopes[s_b])
     mid = 0.5 * (slopes[s_a] + slopes[s_b])
-    if span == 0.0 or abs(slopes[f1] - mid) > _PATTERN_TOL * span:
-        raise UnsupportedCrossingError("flat pair off-center in reduced cluster")
+    if span == 0.0 or abs(slopes[flats[0]] - mid) > _PATTERN_TOL * span:
+        raise UnsupportedCrossingError(f"flat role off-center in cluster {names}")
+    flat_pair = len(flats) == 2
     weights = (np.abs(v_a) / na) ** 2
     return CrossingEvent(
-        index=next(counter),
-        t_over_r=loc[0],
-        eps_over_r=loc[1],
-        levels=(s_a + 1, s_b + 1, f1 + 1, f2 + 1),
-        delta_eff=float(na),
+        index=0, t_over_r=loc[0], eps_over_r=loc[1],
+        levels=(s_a + 1, s_b + 1, *(f + 1 for f in flats)),
+        delta_eff=float(na) if flat_pair else 0.5 * (na + nb),
         slope_eff=0.5 * span,
         kind="three-level",
-        flat_levels=(f1 + 1, f2 + 1),
-        bright_weights=(float(weights[0]), float(weights[1])),
+        flat_levels=tuple(f + 1 for f in flats) if flat_pair else None,
+        bright_weights=tuple(float(w) for w in weights) if flat_pair else None,
     )
 
 
@@ -688,45 +606,39 @@ def derive_schedule_generic(model: AffineModel):
     """Derive the ordered crossing schedule of a partnered model.
 
     Scans the generator along each segment of ``default_path`` for
-    intersections of its diagonal entries, groups simultaneous
-    intersections into clusters, classifies every cluster into the
-    supported block kinds and returns the events in path order (ties:
-    smaller blocks first, then lowest level).
+    intersections of its diagonal entries.  Intersections that lie within
+    ``_CLUSTER_TOL`` of the segment length of one another and share a level
+    form one cluster (transitively, by union-find); each cluster is
+    classified into the supported block kinds at its earliest position.
+    Returns the events in path order (ties: smaller blocks first, then
+    lowest level), indexed from 1.
     """
     if not model.has_partner:
         model.partner(0.0)  # raises MissingPartnerError
-    raw = []
-    index_iter = iter(range(1, 10 ** 9))
-    for p0, p1 in default_path(model):
+    path = default_path(model)
+    r = path[2][0][0]  # the last segment runs down at t = +R
+    events = []
+    for p0, p1 in path:
         segment = _Segment(model, p0, p1)
         taus = np.linspace(0.0, segment.length, _SEGMENT_SAMPLES)
         samples = np.array([segment.diag(tau) for tau in taus])
         degenerate = _degenerate_pairs(samples)
         crossings = _find_pair_crossings(segment, taus, samples, degenerate)
-        clusters = _cluster_crossings(crossings, segment.length)
-        cluster_events = []
-        for cluster in clusters:
-            events = _classify_cluster(cluster, segment, degenerate, index_iter)
-            quantum = _CLUSTER_TOL * segment.length
-            tau_key = round(cluster["tau"] / quantum)
-            for event in events:
-                cluster_events.append((tau_key, len(event.levels), min(event.levels), event))
-        cluster_events.sort(key=lambda item: item[:3])
-        raw.extend(event for *_key, event in cluster_events)
-    # reassign contiguous indices in final path order
-    ordered = []
-    for n, event in enumerate(raw, start=1):
-        ordered.append(
-            CrossingEvent(
-                index=n,
-                t_over_r=event.t_over_r,
-                eps_over_r=event.eps_over_r,
-                levels=event.levels,
-                delta_eff=event.delta_eff,
-                slope_eff=event.slope_eff,
-                kind=event.kind,
-                flat_levels=event.flat_levels,
-                bright_weights=event.bright_weights,
-            )
-        )
-    return ordered
+        quantum = _CLUSTER_TOL * segment.length
+        touching = [
+            (m, n) for m, n in combinations(range(len(crossings)), 2)
+            if abs(crossings[m][2] - crossings[n][2]) <= quantum
+            and set(crossings[m][:2]) & set(crossings[n][:2])
+        ]
+        keyed = []
+        for cluster in _components(range(len(crossings)), touching):
+            tau = min(crossings[n][2] for n in cluster)
+            t_star, e_star = segment.point(tau)
+            for event in _cluster_events(
+                {crossings[n][:2] for n in cluster}, segment.generator(tau),
+                segment.diag_slope(tau), (t_star / r, e_star / r), degenerate,
+            ):
+                keyed.append((round(tau / quantum), len(event.levels), min(event.levels), event))
+        keyed.sort(key=lambda item: item[:3])
+        events.extend(item[3] for item in keyed)
+    return [replace(event, index=n) for n, event in enumerate(events, start=1)]

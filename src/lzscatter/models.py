@@ -36,7 +36,7 @@ All parameters are plain reals in units with hbar = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -216,21 +216,10 @@ def _build_spin(k, delta, slope, family="spin", permute=None):
 
 
 def _build_bowtie3(delta, slope, eps):
+    # bowtieN with one sweeping level, under the scalar descriptor
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    e = _scalar("eps", eps)
-    c = d / a
-    w = d * d / a
-    return AffineModel(
-        family="bowtie3", k=3, delta=d, slope=a, eps=e,
-        a0=np.array([[0.0, 0.0, d], [0.0, 0.0, d], [d, d, 0.0]], dtype=complex),
-        a1=_diag([1.0, -1.0, 0.0]),
-        b=_diag([0.0, 0.0, a]),
-        e_inv=np.array([[0.0, -w, 0.0], [-w, 0.0, 0.0], [0.0, 0.0, -w]], dtype=complex),
-        e_0=np.array([[0.0, 0.0, -c], [0.0, 0.0, c], [-c, c, 0.0]], dtype=complex),
-        e_eps=_diag([0.0, 0.0, 1.0 / a]),
-        e1=_diag([1.0, -1.0, 0.0]),
-    )
+    return replace(_build_bowtieN((d,), (a,), eps), family="bowtie3", delta=d, slope=a)
 
 
 def _build_bowtieN(deltas, slopes, eps):

@@ -411,11 +411,10 @@ def test_unsupported_cluster_kinds_are_reported():
     from lzscatter.crossings import UnsupportedCrossingError, _component_event
 
     loc = (0.0, 1.0)
-    counter = iter(range(1, 10))
     # five mutually coupled crossing levels have no supported block
     g5 = np.full((5, 5), 0.3, dtype=complex)
     with pytest.raises(UnsupportedCrossingError, match="5 mutually coupled"):
-        _component_event(list(range(5)), g5, np.arange(5.0), loc, set(), counter)
+        _component_event(list(range(5)), g5, np.arange(5.0), loc, set())
     # four coupled levels whose flat pair couples to the sloped ones in
     # different directions: no common dark state, genuinely unsupported
     g4 = np.zeros((4, 4), dtype=complex)
@@ -423,7 +422,101 @@ def test_unsupported_cluster_kinds_are_reported():
     g4[1, 3] = g4[3, 1] = 0.3   # flat 1 couples only to sloped 3
     slopes = np.array([0.0, 0.0, -1.0, 1.0])
     with pytest.raises(UnsupportedCrossingError, match="4 mutually coupled"):
-        _component_event([0, 1, 2, 3], g4, slopes, loc, {(0, 1)}, counter)
+        _component_event([0, 1, 2, 3], g4, slopes, loc, {(0, 1)})
+
+
+def _hermitian(k, couplings):
+    g = np.zeros((k, k), dtype=complex)
+    for (i, j), value in couplings.items():
+        g[i, j], g[j, i] = value, np.conj(value)
+    return g
+
+
+# hand-built clusters for the rejections that the test above does not reach:
+# (message, crossing pairs, generator, slopes, degenerate pairs)
+_SQ = (math.sqrt(0.75) * 0.3, math.sqrt(0.25) * 0.3)
+_REJECTED_CLUSTERS = {
+    "no sloped-pair structure": (
+        "sloped-pair/flat structure", [(0, 1), (0, 2), (1, 2)],
+        _hermitian(3, {(0, 1): 0.3, (0, 2): 0.3, (1, 2): 0.3}), [-1.0, 1.0, 0.0], set()),
+    "asymmetric couplings": (
+        "unequal couplings", [(0, 2), (1, 2)],
+        _hermitian(3, {(0, 2): 0.3, (1, 2): 0.5}), [-1.0, 1.0, 0.0], set()),
+    "off-centre flat level": (
+        "off-center", [(0, 2), (1, 2)],
+        _hermitian(3, {(0, 2): 0.3, (1, 2): 0.3}), [-1.0, 1.0, 0.5], set()),
+    "4 levels without a degenerate pair": (
+        "no degenerate flat pair", [(0, 2), (1, 3)],
+        _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1]}),
+        [0.0, 0.0, -1.0, 1.0], set()),
+    "coupled sloped pair": (
+        "coupled sloped or flat pair", [(0, 2), (0, 3)],
+        _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1], (2, 3): 0.3}),
+        [0.0, 0.0, -1.0, 1.0], {(0, 1)}),
+    "unequal strengths": (
+        "unequal couplings", [(0, 2), (0, 3)],
+        _hermitian(4, {(0, 2): 0.3, (1, 2): 0.3, (0, 3): 0.3}), [0.0, 0.0, -1.0, 1.0], {(0, 1)}),
+    "off-centre flat pair": (
+        "off-center", [(0, 2), (0, 3)],
+        _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1]}),
+        [0.5, 0.5, -1.0, 1.0], {(0, 1)}),
+    "sloped pair of equal slope": (
+        "off-center", [(0, 2), (1, 2)],
+        _hermitian(3, {(0, 2): 0.3, (1, 2): 0.3}), [1.0, 1.0, 0.0], set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REJECTED_CLUSTERS))
+def test_cluster_classifier_rejects(name):
+    from lzscatter.crossings import UnsupportedCrossingError, _cluster_events
+
+    match, pairs, gmat, slopes, degenerate = _REJECTED_CLUSTERS[name]
+    with pytest.raises(UnsupportedCrossingError, match=match):
+        _cluster_events(set(pairs), gmat, np.array(slopes), (0.0, 1.0), degenerate)
+
+
+def test_cluster_classifier_accepted_forms():
+    from lzscatter.crossings import _cluster_events
+
+    loc = (-1.0, 0.7)
+    # a coupled pair (flatter level first) and an uncoupled one that passes
+    two = _cluster_events({(0, 1), (1, 2)}, _hermitian(3, {(0, 1): 0.3j}),
+                          np.array([1.0, 0.0, -2.0]), loc, set())
+    assert [(e.levels, e.kind, e.delta_eff, e.slope_eff) for e in two] == [
+        ((2, 1), "two-level", 0.3, 0.5), ((2, 3), "trivial", 0.0, 1.0)]
+    assert all((e.index, e.t_over_r, e.eps_over_r) == (0, -1.0, 0.7) for e in two)
+    # a sloped pair meeting one flat level midway
+    (three,) = _cluster_events({(0, 2), (1, 2)}, _hermitian(3, {(0, 2): 0.3, (1, 2): -0.3}),
+                               np.array([-1.0, 1.0, 0.0]), loc, set())
+    assert (three.levels, three.kind, three.delta_eff, three.slope_eff) == (
+        (1, 2, 3), "three-level", 0.3, 1.0)
+    assert three.flat_levels is None and three.bright_weights is None
+    # a sloped pair meeting a degenerate flat pair: the companion level 2
+    # rides along although only level 1 is in a crossing pair
+    g = _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1]})
+    (four,) = _cluster_events({(0, 2), (0, 3)}, g, np.array([0.0, 0.0, -1.0, 1.0]), loc, {(0, 1)})
+    assert (four.levels, four.kind, four.flat_levels) == ((3, 4, 1, 2), "three-level", (1, 2))
+    assert four.delta_eff == pytest.approx(0.3, rel=1e-15)
+    assert four.slope_eff == 1.0
+    assert four.bright_weights == pytest.approx((0.75, 0.25), rel=1e-15)
+
+
+def test_generic_detour_far_from_the_origin_in_eps():
+    # the detour grows with |eps|, so no crossing falls before its start
+    for eps in (1e9, -1e9):
+        generic = derive_schedule_generic(build_model("bowtie3", delta=0.3, slope=1.0, eps=eps))
+        hand = schedule_bowtie3(0.3, 1.0, eps)
+        assert [(e.levels, e.kind) for e in generic] == [(e.levels, e.kind) for e in hand]
+        for g, h in zip(generic, hand):
+            assert (g.t_over_r, g.eps_over_r) == pytest.approx((h.t_over_r, h.eps_over_r), rel=1e-9)
+            assert (g.delta_eff, g.slope_eff) == pytest.approx((h.delta_eff, h.slope_eff), rel=1e-9)
+        assert np.abs(compose(generic, 3) - compose(hand, 3)).max() < 1e-14
+    near, far = (derive_schedule_generic(build_model("su3adj8", delta=0.2, slope=0.4, eps=eps))
+                 for eps in (1.0, 1e9))
+    assert len(far) == len(near) == 14
+    assert [(e.levels, e.kind, e.flat_levels) for e in far] == [
+        (e.levels, e.kind, e.flat_levels) for e in near]
+    assert np.abs(compose(far, 8) - compose(near, 8)).max() < 1e-14
 
 
 def test_schedule_json_fields():

@@ -117,6 +117,26 @@ def test_bowtie3_entries():
     assert np.abs(m.partner(t) - expect_e).max() < 1e-15
 
 
+@pytest.mark.parametrize("d, a, e", [(0.3, 1.1, 0.8), (-0.45, 0.6, -1.7), (1.2, 2.5, 3e4)])
+def test_bowtie3_is_bowtien_with_one_sweeping_level(d, a, e):
+    m = build_model("bowtie3", delta=d, slope=a, eps=e)
+    n = build_model("bowtieN", delta=[d], slope=[a], eps=e)
+    c, w = d / a, d * d / a
+    written = {
+        "a0": [[0.0, 0.0, d], [0.0, 0.0, d], [d, d, 0.0]],
+        "a1": np.diag([1.0, -1.0, 0.0]),
+        "b": np.diag([0.0, 0.0, a]),
+        "e_inv": [[0.0, -w, 0.0], [-w, 0.0, 0.0], [0.0, 0.0, -w]],
+        "e_0": [[0.0, 0.0, -c], [0.0, 0.0, c], [-c, c, 0.0]],
+        "e_eps": np.diag([0.0, 0.0, 1.0 / a]),
+        "e1": np.diag([1.0, -1.0, 0.0]),
+    }
+    for name, matrix in written.items():
+        expect = np.array(matrix, dtype=complex).tobytes()
+        assert getattr(m, name).tobytes() == getattr(n, name).tobytes() == expect, name
+    assert m.descriptor() == {"family": "bowtie3", "delta": d, "slope": a, "eps": e}
+
+
 def test_bowtie3_decoupled_diagonal():
     m = build_model("bowtie3", delta=0.0, slope=1.0, eps=0.7)
     assert np.allclose(m.hamiltonian(1.0), np.diag([0.7, -0.7, 1.0]))
