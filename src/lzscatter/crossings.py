@@ -58,6 +58,10 @@ _PATTERN_TOL = 1e-6
 R_SCALE = 1e8
 # detour height in units of (max diagonal slope) * R
 RAIL_FACTOR = 4.0
+# factor kept between the largest generator entry on the detour and the
+# largest float
+_HEADROOM = 256.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class UnsupportedCrossingError(RuntimeError):
@@ -129,7 +133,10 @@ def default_path(model: AffineModel):
     height is RAIL_FACTOR * max|B_ii| * R on the side of the model's
     nominal eps (the partner pole at eps = 0 is never crossed).  The
     endpoints (-R, eps0) and (+R, eps0) match the undeformed sweep, so the
-    detour only reroutes the interior.
+    detour only reroutes the interior.  An |eps0| that would bring the
+    generator entries on the detour within a factor ``_HEADROOM`` of the
+    largest float raises ``ValueError`` naming the largest |eps| the detour
+    holds for the model.
     """
     eps0 = float(model.eps or 0.0)
     if eps0 == 0.0:
@@ -140,7 +147,17 @@ def default_path(model: AffineModel):
     smax = float(slopes.max())
     if smax == 0.0:
         raise ValueError("model has no sweeping level")
-    r = R_SCALE * max(1.0, abs(eps0) / float(slopes[slopes > 0.0].min()))
+    smin = float(slopes[slopes > 0.0].min())
+    # generator entries on the detour reach about r * cmax * (RAIL_FACTOR *
+    # smax + 1); the gaps and the root finder's products need headroom
+    cmax = max(float(np.abs(m).max()) for m in (model.a1, model.b, model.e_eps, model.e1))
+    eps_max = smin * (_FLOAT_MAX / (_HEADROOM * R_SCALE * cmax * (RAIL_FACTOR * smax + 1.0)))
+    if abs(eps0) > eps_max:
+        raise ValueError(
+            f"eps = {eps0!r} is too far from the origin for the detour: "
+            f"it holds |eps| <= {eps_max!r} for this model"
+        )
+    r = R_SCALE * max(1.0, abs(eps0) / smin)
     rail = math.copysign(RAIL_FACTOR * smax * r, eps0)
     return (
         ((-r, eps0), (-r, rail)),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import AffineModel, build_spin_rep
-from .numerics import OdeSettings, propagate_unitary
+from .numerics import propagate_unitary
 
 # entries this far below zero are roundoff and get clamped; anything
 # lower indicates a real bug upstream
@@ -73,28 +73,41 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     """Integrate i dV/dt = [V, H(t)] for a spin-family model.
 
     ``v0`` are the (v1, v2, v3) coefficients of V(t0) in the model's spin
-    basis.  Returns ``(V(t1), BlochVector)``.  The update is a unitary
-    conjugation at every step, so the spectrum of V is preserved exactly.
+    basis (permuted as the model's levels are, for ``adjoint3``).  Returns
+    ``(V(t1), BlochVector)``.
+
+    ``V(t1) = W_k V(t0) W_k^dag`` with ``i dW_k/dt = -H W_k``, and
+    ``H = 2 (a t Z_k + delta X_k)`` is the spin-j image of the same element
+    of su(2) at every k, so ``W_k`` is the spin-j image of the 2 x 2
+    propagator W of the fundamental pair ``(-2 delta X_2, -2 a Z_2)``.  Only
+    W is propagated.  Conjugation by it rotates the spin generators,
+    ``W J_b W^dag = sum_a R_ab J_a`` with ``R_ab = 2 tr(J_a W J_b W^dag)``,
+    by the same rotation R in every representation, so the Bloch vector is
+    ``R v0`` and ``V(t1) = sum_a (R v0)_a G_a`` in the model's spin-k
+    generators ``G_a``.  The cost is one 2 x 2 propagation at any k, and the
+    spectrum of V is that of V(t0) to roundoff.  A non-finite ``v0`` raises
+    ``ValueError``.
     """
     if model.family not in ("spin", "lz2", "adjoint3"):
         raise ValueError(f"evolve_lax needs a spin-family model, got {model.family!r}")
-    if settings is None:
-        settings = OdeSettings()
-    rep = build_spin_rep(model.k)
-    gens = [rep.x, rep.y, rep.z]
-    if model.spin_basis_permutation is not None:
-        p = list(model.spin_basis_permutation)
-        gens = [g[np.ix_(p, p)] for g in gens]
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (3,):
         raise ValueError("v0 must be three Bloch coefficients")
-    vmat = sum(c * g for c, g in zip(v0, gens))
-    # i dV/dt = [V, H]  <=>  V(t) = W V(t0) W^dag  with  i dW/dt = -H W
-    w = propagate_unitary((-model.a_of(), -model.b), t0, t1, settings)
-    v_out = w @ vmat @ w.conj().T
-    norms = [float(np.trace(g @ g).real) for g in gens]
-    coeffs = [float(np.trace(v_out @ g).real) / n for g, n in zip(gens, norms)]
-    return v_out, BlochVector(*coeffs)
+    if not np.isfinite(v0).all():
+        raise ValueError(f"v0 must be finite, got {v0.tolist()}")
+    fund = build_spin_rep(2)
+    w = propagate_unitary(
+        (-2.0 * model.delta * fund.x, -2.0 * model.slope * fund.z), t0, t1, settings
+    )
+    j2 = np.stack((fund.x, fund.y, fund.z))
+    rot = 2.0 * np.einsum("aij,bji->ab", j2, w @ j2 @ w.conj().T).real
+    coeffs = rot @ v0
+    rep = build_spin_rep(model.k)
+    gens = np.stack((rep.x, rep.y, rep.z))
+    if model.spin_basis_permutation is not None:
+        p = list(model.spin_basis_permutation)
+        gens = gens[:, p][:, :, p]
+    return np.tensordot(coeffs, gens, axes=1), BlochVector(*(float(c) for c in coeffs))
 
 
 def spin_ladder(k: int) -> np.ndarray:

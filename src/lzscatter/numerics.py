@@ -33,7 +33,9 @@ run follows the cap step by step.  The generators of every step of the block
 (the full step and its two halves, for every member) are formed at once,
 for the pair by one ``(3K, 7) @ (7, m 2n^2)`` product, and one stacked
 ``eigh`` exponentiates all 3Km of them: at dimensions up to 8 the
-per-call overhead, not the arithmetic, is what costs.  The step-doubling
+per-call overhead, not the arithmetic, is what costs.  A 2 x 2 stack
+(the fundamental pair of the Lax flow, ``lz2``) takes Rodrigues' closed
+form instead, entry by entry over the stack.  The step-doubling
 error estimate is the Richardson one, ``|U_half - U_full| / (2^p - 1)`` for
 a generator of order p, one entry per step.  The longest prefix of steps
 that each meet the tolerance is accepted and multiplied onto U; the
@@ -185,8 +187,31 @@ def hermitian_eigs(m, tol=1e-12):
 
 def _expmi(m):
     # exp(-i m) for a Hermitian matrix or a stack of them, unitary to roundoff
+    if m.shape[-1] == 2:
+        return _expmi2(m)
     w, v = np.linalg.eigh(m)
     return (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def _expmi2(m):
+    # Rodrigues: m = c0 I + c.sigma gives
+    # exp(-i m) = e^(-i c0) (cos|c| I - i (sin|c| / |c|) c.sigma);
+    # like eigh, it reads the diagonal and the lower triangle only
+    d0 = m[..., 0, 0].real
+    d1 = m[..., 1, 1].real
+    z = 0.5 * (d0 - d1)
+    off = m[..., 1, 0]  # c1 + i c2
+    r = np.hypot(z, np.abs(off))
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
+    phase = np.exp(-0.5j * (d0 + d1))
+    identity_part = phase * np.cos(r)
+    sigma_part = -1j * phase * sinc
+    out = np.empty(m.shape, dtype=complex)
+    out[..., 0, 0] = identity_part + sigma_part * z
+    out[..., 1, 1] = identity_part - sigma_part * z
+    out[..., 1, 0] = sigma_part * off
+    out[..., 0, 1] = sigma_part * off.conj()
+    return out
 
 
 def _magnus_generator(hfun, t, h):
@@ -399,9 +424,10 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     largest over the members).  The loop proposes a block of up to 32 steps
     of one size, each clipped at ``t1`` and capped in turn, and
     exponentiates the full-step and two half-step generators of every step
-    and member of the block as one stacked ``eigh``.  It accepts the longest
-    prefix of steps that each meet the tolerance and restarts from the
-    first rejected one, discarding the rest of the block.  Every step is
+    and member of the block as one stacked ``eigh`` (Rodrigues' closed form
+    at n = 2).  It accepts the longest prefix of steps that each meet the
+    tolerance and restarts from the first rejected one, discarding the rest
+    of the block.  Every step is
     also kept below one turn of the relative phase of the levels ``[A, B]``
     couples at its own midpoint, where the error estimate stops being
     faithful; a callable estimates that gap from its Gauss samples.

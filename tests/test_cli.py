@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,22 @@ def test_ignored_model_argument_exit_2_writes_no_record(tmp_path, capsys, argv, 
     assert code == 2
     assert match in err
     assert out == ""
+    assert not ledger.exists()
+
+
+
+def test_crossings_eps_beyond_the_detour_exit_2_without_warning(tmp_path, capsys):
+    ledger = tmp_path / "l.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "smatrix", "--family", "su3adj8", "--delta", "0.2",
+                             "--slope", "0.4", "--eps", "1e305", "--method", "crossings",
+                             "--ledger", str(ledger))
+    assert code == 2
+    assert "eps = 1e+305 is too far from the origin for the detour" in err
+    assert "holds |eps| <= 4.32137772803" in err
+    assert out == ""
+    assert not caught
     assert not ledger.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -517,6 +518,30 @@ def test_generic_detour_far_from_the_origin_in_eps():
     assert [(e.levels, e.kind, e.flat_levels) for e in far] == [
         (e.levels, e.kind, e.flat_levels) for e in near]
     assert np.abs(compose(far, 8) - compose(near, 8)).max() < 1e-14
+
+
+
+@pytest.mark.parametrize("family, delta, slope, sign", [
+    ("bowtie3", 0.3, 1.0, 1.0), ("bowtieN", [0.25, 0.2], [0.6, -1.2], -1.0),
+    ("su3six", 0.2, 0.4, 1.0), ("su3adj8", 0.2, 0.4, -1.0), ("su3adj8", 3.0, 0.01, 1.0),
+])
+def test_detour_refuses_eps_beyond_its_float_range(family, delta, slope, sign):
+    # the detour scales with |eps|; past the limit its corners or the
+    # generator entries on it would overflow, so eps is refused by name,
+    # and at the limit the derivation runs without a warning
+    limits = []
+    for s in (1.0, -1.0):
+        with pytest.raises(ValueError, match=r"eps = .* too far .* holds \|eps\| <= ") as info:
+            crossings.default_path(build_model(family, delta=delta, slope=slope, eps=s * 1e305))
+        limits.append(float(str(info.value).split("<= ")[1].split()[0]))
+    assert limits[0] == limits[1] and 1e280 < limits[0] < 1e305
+    near = build_model(family, delta=delta, slope=slope, eps=sign * 1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = derive_schedule_generic(
+            build_model(family, delta=delta, slope=slope, eps=sign * limits[0]))
+    assert [(e.levels, e.kind) for e in far] == [
+        (e.levels, e.kind) for e in derive_schedule_generic(near)]
 
 
 def test_schedule_json_fields():

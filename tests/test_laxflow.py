@@ -16,7 +16,7 @@ from lzscatter.laxflow import (
     survival_weight,
 )
 from lzscatter.models import build_model, build_spin_rep
-from lzscatter.numerics import OdeSettings, hermitian_eigs
+from lzscatter.numerics import OdeSettings, hermitian_eigs, propagate_unitary
 
 LN2_OVER_PI = math.log(2.0) / math.pi
 
@@ -270,3 +270,31 @@ def test_evolve_lax_rejects_non_spin_models():
     bt = build_model("bowtie3", delta=0.5, slope=1.0, eps=1.0)
     with pytest.raises(ValueError, match="spin-family"):
         evolve_lax(bt, (0, 0, 1), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("family, k", [("spin", k) for k in range(2, 9)] + [("adjoint3", None)])
+def test_evolve_lax_lift_matches_the_direct_propagation(family, k):
+    # the route evolve_lax does not take: the full k x k propagator of -H
+    m = build_model(family, k=k, delta=0.7, slope=1.3)
+    settings_ = OdeSettings(rtol=1e-9, atol=1e-11)
+    rep = build_spin_rep(m.k)
+    gens = [rep.x, rep.y, rep.z]
+    if m.spin_basis_permutation is not None:
+        p = list(m.spin_basis_permutation)
+        gens = [g[np.ix_(p, p)] for g in gens]
+    w = propagate_unitary((-m.a_of(), -m.b), -40.0, 25.0, settings_)
+    rng = np.random.default_rng(m.k)
+    for _ in range(3):
+        v0 = rng.normal(size=3)
+        direct = w @ sum(c * g for c, g in zip(v0, gens)) @ w.conj().T
+        v_mat, bloch = evolve_lax(m, v0, -40.0, 25.0, settings_)
+        assert np.abs(v_mat - direct).max() <= 1e-7
+        assert np.abs(v_mat - sum(c * g for c, g in zip(bloch.as_array(), gens))).max() <= 1e-14
+        assert bloch.norm == pytest.approx(float(np.linalg.norm(v0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0), (0.0, 0.0, -np.inf)])
+def test_evolve_lax_rejects_non_finite_v0(bad):
+    m = build_model("spin", k=3, delta=0.5, slope=1.0)
+    with pytest.raises(ValueError, match="v0 must be finite"):
+        evolve_lax(m, bad, -1.0, 1.0)

@@ -309,6 +309,24 @@ def test_propagate_rejects_non_hermitian():
         propagate_unitary(lambda t: a + t * SIGMA3, -5.0, 5.0)
 
 
+
+def test_two_level_expmi_matches_the_eigh_route():
+    # 2 x 2 stacks take Rodrigues' formula; the reference is the stacked
+    # eigh route that every larger matrix takes
+    rng = np.random.default_rng(7)
+    for scale in (0.0, 1e-12, 1e-6, 1.0, 30.0, 1e3):
+        raw = rng.normal(size=(4, 5, 2, 2)) + 1j * rng.normal(size=(4, 5, 2, 2))
+        stack = 0.5 * scale * (raw + np.swapaxes(raw.conj(), -1, -2))
+        stack[0, 0] = scale * np.eye(2)  # a pure trace: c = 0
+        w, v = np.linalg.eigh(stack)
+        reference = (v * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+        got = _expmi(stack)
+        assert got.shape == stack.shape
+        assert np.abs(got - reference).max() <= 1e-13 * max(1.0, float(np.abs(stack).max()))
+        for u in got.reshape(-1, 2, 2):
+            assert unitarity_defect(u) <= 1e-15
+
+
 def test_stacked_expmi_matches_single_exponentials():
     stack = np.stack([_random_hamiltonian(5, seed) for seed in range(3)])
     stacked = _expmi(stack)
