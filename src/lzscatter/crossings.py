@@ -3,23 +3,27 @@
 With a valid flow partner E, the sweep can be rerouted through a
 three-segment rectangular detour in the (t, eps) plane whose corners sit
 at |t| = R with R formally infinite.  Along the detour every level
-crossing is localized and pairwise (or reduces to the standard three-level
-pattern), so the full scattering matrix factorizes into a product of
-elementary blocks: latest crossing leftmost, matching the composition of
-probability flows ``S[i, j] = P(j -> i)``.  That product is exact only
-where every pair of levels is joined by at most one path of events
-(``path_counts``).
+crossing is localized, so the full scattering matrix factorizes into a
+product of elementary blocks: latest crossing leftmost, matching the
+composition of probability flows ``S[i, j] = P(j -> i)``.  That product
+is exact only where every pair of levels is joined by at most one path
+of events (``path_counts``).
 
 No relative phases survive between crossings separated by path length of
-order R, with one exception: levels whose diagonal entries coincide
-identically (a degenerate flat pair).  Such a pair enters a crossing only
-through one combined "bright" direction while the orthogonal "dark"
-direction passes untouched, and the flat-level survival amplitude of the
-three-level pattern is real, so the pair's local block is still an
-ordinary probability matrix parametrized by the bright weights.  For the
-shipped families the flat-pair state stays diagonal in every such event's
-eigenframe, which keeps the plain probability product exact; the oracle
-validates this.
+order R.  Each localized crossing is one su(2) rotation, Majorana's
+solution of the spin family applied locally: near the crossing its
+coupled levels see ``tau diag(s) + G``, and with ``J_z`` the slopes about
+their midpoint in units of their common spacing and ``c J_x = G`` the
+block is an su(2) image exactly when ``[J_x, J_y] = i J_z`` for
+``J_y = -i [J_z, J_x]``.  Its transition probabilities are then
+``|exp(-i beta J_x)|^2`` with ``cos(beta) = 2u - 1`` and
+``u = exp(-pi c^2 / (2 spacing))``: the two-level crossing is spin 1/2,
+a sloped pair meeting a flat level midway is spin 1, and levels that
+share a slope (a degenerate flat pair) need no special case, since the
+rotation mixes only the combination that ``G`` couples and leaves the
+orthogonal "dark" one in place.  For the shipped families the dark state
+stays diagonal in every such event's eigenframe, which keeps the plain
+probability product exact; the oracle validates this.
 
 ``derive_schedule_generic`` samples each segment's diagonal, brackets
 every sign change of a level gap and refines it with ``brentq``.  One
@@ -27,10 +31,9 @@ union-find (``_components``) then does all the grouping: crossings within
 ``_CLUSTER_TOL`` of the segment length of one another that share a level
 form a cluster; the cluster takes along the degenerate companions of its
 levels; and the couplings of the path generator at the cluster split its
-levels into coupled components.  A component of two levels is a two-level
-event, one of three or four a three-level event with a flat level or a
-degenerate flat pair in the flat role; crossing pairs outside every
-component are trivial events.
+levels into coupled components.  Each component is one su(2) event (or
+``UnsupportedCrossingError``); crossing pairs outside every component are
+trivial events.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .laxflow import clamp_probabilities
+from .laxflow import clamp_probabilities, rotation_probabilities
 from .models import AffineModel, SingularPartnerError
 
 # samples per path segment used to bracket gap sign changes
@@ -51,7 +54,7 @@ _SEGMENT_SAMPLES = 4096
 _CLUSTER_TOL = 1e-6
 # couplings below this (relative to the cluster scale) count as absent
 _COUPLING_TOL = 1e-12
-# relative tolerance for the structural pattern checks
+# relative tolerance of the su(2) test of a coupled block
 _PATTERN_TOL = 1e-6
 
 # least detour half-width R, formally infinite; finite-R effects scale as 1/R^2
@@ -65,18 +68,23 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 class UnsupportedCrossingError(RuntimeError):
-    """A crossing cluster does not reduce to the supported block kinds."""
+    """A coupled crossing cluster is not the image of an su(2) rotation."""
 
 
 @dataclass(frozen=True)
 class CrossingEvent:
-    """One localized crossing: participating levels and its block data.
+    """One localized crossing: an su(2) rotation of its levels.
 
-    ``levels`` are 1-based diabatic indices.  For two-level and trivial
-    kinds they are the crossing pair (flatter level first); for the
-    three-level kind they are (sloped, sloped, flat) or, when the flat
-    role is carried by a degenerate pair, (sloped, sloped, flat, flat)
-    with ``flat_levels``/``bright_weights`` filled in.
+    ``levels`` are 1-based diabatic indices; ``jz`` holds their ``J_z``
+    values on the half-integer ladder and ``jx`` (rows) the coupling in
+    units of its strength c, ``J_x = G / c``, both in the order of
+    ``levels``.  The local block is ``|exp(-i beta J_x)|^2`` with
+    ``cos(beta) = 2 u_eff - 1``.  With j the largest ``|J_z|``,
+    ``delta_eff = c sqrt(j / 2)`` and ``slope_eff`` = j times the slope
+    spacing of the coupled levels (half their slope span), so ``exponent``
+    is ``pi c^2 / (2 spacing)``: for a pair ``delta_eff`` is the coupling
+    and ``slope_eff`` half the slope difference.  Build events with
+    :meth:`from_block`.
     """
 
     index: int
@@ -85,19 +93,96 @@ class CrossingEvent:
     levels: tuple
     delta_eff: float
     slope_eff: float
-    kind: str
-    flat_levels: Optional[tuple] = None
-    bright_weights: Optional[tuple] = None
+    jz: tuple
+    jx: tuple
 
     def __post_init__(self):
-        if self.kind not in ("trivial", "two-level", "three-level"):
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if (self.kind == "trivial") != (self.delta_eff == 0.0):
-            raise ValueError("kind is trivial exactly when delta_eff == 0")
         if not self.slope_eff > 0.0:
             raise ValueError("slope_eff must be positive")
         if self.delta_eff < 0.0:
             raise ValueError("delta_eff must be nonnegative")
+
+    @classmethod
+    def from_block(cls, index, t_over_r, eps_over_r, levels, slopes, coupling):
+        """The event of ``levels`` with diagonal slopes and a Hermitian coupling block.
+
+        Near the crossing the levels see ``tau diag(slopes) + G`` with G the
+        off-diagonal part of ``coupling``.  With ``spacing`` the common
+        ``|slope difference|`` of the coupled pairs, ``J_z = (diag(slopes) -
+        mid) / spacing`` about the middle of the slope span and ``c J_x = G``,
+        the block is an su(2) image exactly when ``[J_x, J_y] = i J_z`` for
+        ``J_y = -i [J_z, J_x]``, up to dark combinations of levels that share
+        a slope, which ``J_x`` and ``J_y`` both annihilate and the rotation
+        leaves in place.  ``c^2`` is the least-squares solution and the
+        relative residual must stay within ``_PATTERN_TOL``.  A block without
+        coupling is a trivial event.  Anything else raises
+        ``UnsupportedCrossingError`` naming the levels.
+        """
+        levels = tuple(int(l) for l in levels)
+        s = np.asarray(slopes, dtype=float)
+        g = np.array(coupling, dtype=complex)
+        np.fill_diagonal(g, 0.0)
+        # the solve runs on G / max|G|, so no coupling under- or overflows
+        scale = float(np.abs(g).max())
+        span = float(s.max() - s.min())
+        mid = 0.5 * float(s.max() + s.min())
+        gaps = np.abs(s[:, None] - s[None, :])[np.abs(g) > _PATTERN_TOL * scale]
+        spacing = float(gaps.max()) if gaps.size else span
+        if not (spacing > 0.0 and gaps.min(initial=spacing) >= (1.0 - _PATTERN_TOL) * spacing):
+            raise UnsupportedCrossingError(
+                f"crossing levels {list(levels)} are not an su(2) image: "
+                "their coupled pairs differ in slope by unequal or zero steps"
+            )
+        jz = (s - mid) / spacing
+        c_sq = 0.0
+        if gaps.size:
+            g = g / scale
+            jy_c = -1j * (jz[:, None] - jz[None, :]) * g
+            comm = g @ jy_c - jy_c @ g
+            # dark combinations, the common kernel of J_x and J_y, take no
+            # part in [J_x, J_y]; without them `lit` is the identity exactly
+            _, sv, vh = np.linalg.svd(np.vstack((g, jy_c)))
+            dark = vh[sv <= _PATTERN_TOL * sv[0]]
+            lit = np.eye(len(s)) - dark.conj().T @ dark
+            target = 1j * lit @ np.diag(jz) @ lit
+            # least squares for c^2 in [G, c J_y] = c^2 target
+            c_sq = float(np.vdot(target, comm).real / np.vdot(target, target).real)
+            residual = np.linalg.norm(comm - c_sq * target) / np.linalg.norm(comm)
+            if not residual <= _PATTERN_TOL:
+                raise UnsupportedCrossingError(
+                    f"crossing levels {list(levels)} are not an su(2) image: "
+                    f"[J_x, J_y] misses i J_z by {residual:.1e} relative"
+                )
+            g = g / math.sqrt(c_sq)
+        jz = np.round(2.0 * jz) / 2.0
+        # delta_eff = c sqrt(j / 2): exactly the coupling of a pair or of a
+        # spin-1 block's sloped levels
+        delta_eff = scale * math.sqrt(c_sq * 0.5 * float(np.abs(jz).max()))
+        return cls(index, float(t_over_r), float(eps_over_r), levels, delta_eff, 0.5 * span,
+                   tuple(jz.tolist()), tuple(map(tuple, g.tolist())))
+
+    @property
+    def kind(self) -> str:
+        """``"trivial"`` without coupling, else named by the size 2j + 1 of the rotation."""
+        if self.delta_eff == 0.0:
+            return "trivial"
+        size = round(2.0 * max(abs(m) for m in self.jz)) + 1
+        return {2: "two-level", 3: "three-level"}.get(size, f"{size}-level")
+
+    @property
+    def flat_levels(self) -> Optional[tuple]:
+        """The levels at ``J_z = 0`` when two or more share it, else None."""
+        flats = tuple(l for l, m in zip(self.levels, self.jz) if m == 0.0)
+        return flats if len(flats) > 1 and self.delta_eff > 0.0 else None
+
+    @property
+    def bright_weights(self) -> Optional[tuple]:
+        """Each flat level's share of the flat levels' coupling, else None."""
+        if self.flat_levels is None:
+            return None
+        flat = [a for a, m in enumerate(self.jz) if m == 0.0]
+        weights = (np.abs(np.array(self.jx)[flat]) ** 2).sum(axis=1)
+        return tuple((weights / weights.sum()).tolist())
 
     @property
     def exponent(self) -> float:
@@ -166,56 +251,15 @@ def default_path(model: AffineModel):
     )
 
 
-def _three_level_block(u: float) -> np.ndarray:
-    v = 1.0 - u
-    return np.array(
-        [
-            [u * u, v * v, 2 * u * v],
-            [v * v, u * u, 2 * u * v],
-            [2 * u * v, 2 * u * v, (1.0 - 2.0 * u) ** 2],
-        ]
-    )
-
-
 def local_smatrix(event: CrossingEvent, k: int) -> np.ndarray:
-    """Embed the event's elementary block into a k x k probability matrix."""
+    """Embed the event's rotation ``|exp(-i beta J_x)|^2`` into a k x k probability matrix."""
     levels = [int(l) for l in event.levels]
     if len(set(levels)) != len(levels) or any(not 1 <= l <= k for l in levels):
         raise ValueError(f"malformed level list {event.levels} for dimension {k}")
     s = np.eye(k)
-    if event.kind == "trivial":
-        return s
-    u = event.u_eff
-    if event.kind == "two-level":
-        i, j = (l - 1 for l in levels)
-        v = 1.0 - u
-        s[i, i] = s[j, j] = u
-        s[i, j] = s[j, i] = v
-        return s
-    if event.flat_levels is None:
-        s1, s2, f = (l - 1 for l in levels)
-        block = _three_level_block(u)
-        idx = [s1, s2, f]
-        for a in range(3):
-            for b in range(3):
-                s[idx[a], idx[b]] = block[a, b]
-        return s
-    # degenerate flat pair: the bright combination takes the flat role,
-    # the dark combination passes; the flat-level survival amplitude of
-    # the three-level pattern is (2u - 1), real, which makes this block
-    # an ordinary probability matrix over the four participating levels
-    s1, s2 = (l - 1 for l in levels[:2])
-    f1, f2 = (l - 1 for l in event.flat_levels)
-    w1, w2 = event.bright_weights
-    v = 1.0 - u
-    s[s1, s1] = s[s2, s2] = u * u
-    s[s1, s2] = s[s2, s1] = v * v
-    for f, w in ((f1, w1), (f2, w2)):
-        s[s1, f] = s[f, s1] = 2 * u * v * w
-        s[s2, f] = s[f, s2] = 2 * u * v * w
-    s[f1, f1] = (1.0 - 2.0 * v * w1) ** 2
-    s[f2, f2] = (1.0 - 2.0 * v * w2) ** 2
-    s[f1, f2] = s[f2, f1] = 4.0 * v * v * w1 * w2
+    idx = [l - 1 for l in levels]
+    beta = math.acos(2.0 * event.u_eff - 1.0)
+    s[np.ix_(idx, idx)] = rotation_probabilities(np.array(event.jx), beta)
     return s
 
 
@@ -235,8 +279,8 @@ def path_counts(schedule, k: int) -> np.ndarray:
 
     The integer product of ``I + incidence`` over the non-trivial events,
     latest leftmost, where an event's incidence joins every pair of its
-    levels (a degenerate flat pair counts as two levels).  ``compose`` is
-    exact only where every entry is at most 1: with two paths the true
+    levels (a dark level of the rotation too).  ``compose`` is exact only
+    where every entry is at most 1: with two paths the true
     probability carries their interference, which a product of probability
     blocks drops (same-sign ``bowtieN`` slopes).  Neither ``compose`` nor
     ``derive_schedule_generic`` checks this, because the benchmark's
@@ -255,17 +299,9 @@ def path_counts(schedule, k: int) -> np.ndarray:
 
 
 def _pair_event(index, t_over_r, eps_over_r, level_pair, coupling, slope_eff):
-    flat_first = tuple(level_pair)
-    kind = "two-level" if coupling != 0.0 else "trivial"
-    return CrossingEvent(
-        index=index,
-        t_over_r=float(t_over_r),
-        eps_over_r=float(eps_over_r),
-        levels=flat_first,
-        delta_eff=float(abs(coupling)),
-        slope_eff=float(slope_eff),
-        kind=kind,
-    )
+    # a crossing pair, flatter level first, whose slopes differ by 2 slope_eff
+    return CrossingEvent.from_block(index, t_over_r, eps_over_r, level_pair,
+                                    (0.0, 2.0 * slope_eff), [[0.0, coupling], [coupling, 0.0]])
 
 
 def schedule_bowtie3(delta: float, a: float, eps: float):
@@ -343,19 +379,19 @@ def schedule_su3six(delta: float, a: float, eps: float):
     if not float(eps) > 0.0:
         raise ValueError("su3six schedule is only defined for eps > 0")
     d = abs(float(delta))
-    pair_kind = "two-level" if d != 0.0 else "trivial"
-    tri_kind = "three-level" if d != 0.0 else "trivial"
     rail = RAIL_FACTOR * 2.0 * a
-    events = [
-        CrossingEvent(1, -1.0, a, (2, 4), d / a, 0.5 / a, pair_kind),
-        CrossingEvent(2, -1.0, a, (6, 3, 5), math.sqrt(2.0) * d / a, 1.0 / a, tri_kind),
-        CrossingEvent(3, -1.0, 3.0 * a, (3, 4), 0.0, 0.5 / a, "trivial"),
-        CrossingEvent(4, 0.0, rail, (2, 6), 0.0, a, "trivial"),
-        CrossingEvent(5, 1.0, 3.0 * a, (1, 5), 0.0, 0.5 / a, "trivial"),
-        CrossingEvent(6, 1.0, a, (2, 5), d / a, 0.5 / a, pair_kind),
-        CrossingEvent(7, 1.0, a, (1, 6, 4), math.sqrt(2.0) * d / a, 1.0 / a, tri_kind),
+    # a sloped pair meeting a flat level midway, both coupled to it
+    g = math.sqrt(2.0) * d / a
+    three = ((-1.0 / a, 1.0 / a, 0.0), [[0.0, 0.0, g], [0.0, 0.0, g], [g, g, 0.0]])
+    return [
+        _pair_event(1, -1.0, a, (2, 4), d / a, 0.5 / a),
+        CrossingEvent.from_block(2, -1.0, a, (6, 3, 5), *three),
+        _pair_event(3, -1.0, 3.0 * a, (3, 4), 0.0, 0.5 / a),
+        _pair_event(4, 0.0, rail, (2, 6), 0.0, a),
+        _pair_event(5, 1.0, 3.0 * a, (1, 5), 0.0, 0.5 / a),
+        _pair_event(6, 1.0, a, (2, 5), d / a, 0.5 / a),
+        CrossingEvent.from_block(7, 1.0, a, (1, 6, 4), *three),
     ]
-    return events
 
 
 def schedule_json(schedule) -> list:
@@ -547,76 +583,28 @@ def _cluster_events(pairs, gmat, slopes, loc, degenerate):
     cscale = max([1.0, *couplings.values()])
     coupled = [p for p, v in couplings.items() if v > _COUPLING_TOL * cscale]
     comps = [c for c in _components(levels, coupled) if len(c) > 1]
-    events = [_component_event(c, gmat, slopes, loc, degenerate) for c in comps]
+    events = [_component_event(c, gmat, slopes, loc) for c in comps]
     # crossing pairs not absorbed into a coupled block pass through freely
     for pair in sorted(pairs):
         if not any(set(pair) <= set(c) for c in comps):
-            events.append(_crossing_pair_event(pair, 0.0, slopes, loc))
+            events.append(_component_event(list(pair), np.zeros_like(gmat), slopes, loc))
     return events
 
 
-def _crossing_pair_event(pair, coupling, slopes, loc):
-    """Pair event of two crossing levels (0-based), the flatter level first."""
-    i, j = sorted(pair, key=lambda l: (abs(slopes[l]), l))
-    slope_eff = 0.5 * abs(slopes[i] - slopes[j])
-    return _pair_event(0, loc[0], loc[1], (i + 1, j + 1), coupling, slope_eff)
+def _component_event(comp, gmat, slopes, loc):
+    """The su(2) event of one coupled component (0-based levels) of a cluster.
 
-
-def _component_event(comp, gmat, slopes, loc, degenerate):
-    """The event of one coupled component (sorted 0-based levels) of a cluster.
-
-    Two levels make a two-level event.  Three or four make a three-level
-    event of a sloped pair meeting a flat level midway: the flat role is
-    carried by one level (the sloped pair is then the component's one
-    uncoupled pair) or by a degenerate flat pair, which enters through its
-    bright combination.
+    The levels are ordered by descending ``|J_z|``, then ascending
+    ``|slope|``, then index: a pair puts its flatter level first, a spin-1
+    block its flat levels last.
     """
-    if len(comp) == 2:
-        return _crossing_pair_event(comp, gmat[comp[0], comp[1]], slopes, loc)
-    names = [l + 1 for l in comp]
-    if len(comp) > 4:
-        raise UnsupportedCrossingError(f"{len(comp)} mutually coupled crossing levels {names}")
-    tol = _PATTERN_TOL * max(abs(gmat[i, j]) for i, j in combinations(comp, 2))
-    if len(comp) == 3:
-        uncoupled = [p for p in combinations(comp, 2) if abs(gmat[p]) <= tol]
-        if len(uncoupled) != 1:
-            raise UnsupportedCrossingError(
-                f"three-level cluster {names} lacks the sloped-pair/flat structure"
-            )
-        s_a, s_b = uncoupled[0]
-        flats = [l for l in comp if l not in uncoupled[0]]
-    else:
-        flats = next((list(p) for p in sorted(degenerate) if set(p) <= set(comp)), None)
-        if flats is None:
-            raise UnsupportedCrossingError(
-                f"4-level cluster {names} has no degenerate flat pair"
-            )
-        s_a, s_b = (l for l in comp if l not in flats)
-        if abs(gmat[s_a, s_b]) > tol or abs(gmat[flats[0], flats[1]]) > tol:
-            raise UnsupportedCrossingError(f"coupled sloped or flat pair in cluster {names}")
-    v_a, v_b = gmat[flats, s_a], gmat[flats, s_b]
-    na, nb = np.linalg.norm(v_a), np.linalg.norm(v_b)
-    if abs(na - nb) > tol:
-        raise UnsupportedCrossingError(f"unequal couplings to the flat role in cluster {names}")
-    if 1.0 - abs(np.vdot(v_a, v_b)) / (na * nb) > _PATTERN_TOL:
-        # the two sloped levels couple to different flat directions: no
-        # common dark state, genuinely four coupled levels
-        raise UnsupportedCrossingError(f"4 mutually coupled crossing levels {names}")
-    span = abs(slopes[s_a] - slopes[s_b])
-    mid = 0.5 * (slopes[s_a] + slopes[s_b])
-    if span == 0.0 or abs(slopes[flats[0]] - mid) > _PATTERN_TOL * span:
-        raise UnsupportedCrossingError(f"flat role off-center in cluster {names}")
-    flat_pair = len(flats) == 2
-    weights = (np.abs(v_a) / na) ** 2
-    return CrossingEvent(
-        index=0, t_over_r=loc[0], eps_over_r=loc[1],
-        levels=(s_a + 1, s_b + 1, *(f + 1 for f in flats)),
-        delta_eff=float(na) if flat_pair else 0.5 * (na + nb),
-        slope_eff=0.5 * span,
-        kind="three-level",
-        flat_levels=tuple(f + 1 for f in flats) if flat_pair else None,
-        bright_weights=tuple(float(w) for w in weights) if flat_pair else None,
-    )
+    event = CrossingEvent.from_block(0, loc[0], loc[1], [l + 1 for l in comp], slopes[comp],
+                                     gmat[np.ix_(comp, comp)])
+    order = sorted(range(len(comp)),
+                   key=lambda a: (-abs(event.jz[a]), abs(slopes[comp[a]]), comp[a]))
+    jx = np.array(event.jx)[np.ix_(order, order)]
+    return replace(event, levels=tuple(event.levels[a] for a in order),
+                   jz=tuple(event.jz[a] for a in order), jx=tuple(map(tuple, jx.tolist())))
 
 
 def derive_schedule_generic(model: AffineModel):
@@ -625,8 +613,8 @@ def derive_schedule_generic(model: AffineModel):
     Scans the generator along each segment of ``default_path`` for
     intersections of its diagonal entries.  Intersections that lie within
     ``_CLUSTER_TOL`` of the segment length of one another and share a level
-    form one cluster (transitively, by union-find); each cluster is
-    classified into the supported block kinds at its earliest position.
+    form one cluster (transitively, by union-find); each coupled component
+    of a cluster becomes one su(2) event at the cluster's earliest position.
     Returns the events in path order (ties: smaller blocks first, then
     lowest level), indexed from 1.
     """

@@ -127,10 +127,20 @@ def smatrix_spin(k: int, delta: float, a: float) -> np.ndarray:
         raise ValueError(f"k must be >= 2, got {k}")
     beta = math.acos(2.0 * survival_weight(delta, a) - 1.0)
     # Y = R X R^dag with R diagonal, so |exp(-i beta Y)| = |exp(-i beta X)|;
-    # a real eigh of X with the exact ladder as its eigenvalues is more
-    # accurate than numerics._expmi or a complex eigh of Y
-    _, vecs = np.linalg.eigh(build_spin_rep(k).x.real)
-    d = (vecs * np.exp(-1j * beta * spin_ladder(k))) @ vecs.T
+    # a real eigh of X is more accurate than a complex eigh of Y
+    return rotation_probabilities(build_spin_rep(k).x.real, beta)
+
+
+def rotation_probabilities(jx: np.ndarray, beta: float) -> np.ndarray:
+    """``|exp(-i beta J)|^2`` entrywise for the Hermitian image J of an su(2) generator.
+
+    One ``eigh`` of J, with its eigenvalues rounded to the half-integer
+    ladder that J has in every representation of su(2), so the rotation
+    phases are exact and only the eigenvectors carry roundoff; more
+    accurate than ``numerics._expmi``.  A zero J gives the identity exactly.
+    """
+    w, vecs = np.linalg.eigh(jx)
+    d = (vecs * np.exp(-1j * beta * (np.round(2.0 * w) / 2.0))) @ vecs.conj().T
     return np.abs(d) ** 2
 
 

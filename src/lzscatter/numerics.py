@@ -93,8 +93,9 @@ _FIRST_BLOCK_STEPS = 4
 # least this factor per pass
 _CAP_SHRINK = 0.999
 
-# smallest step fraction before the adaptive driver declares divergence
-_MIN_STEP_FRACTION = 1e-12
+# smallest step, as a fraction of the span, before the adaptive driver
+# declares divergence: a run at that step would need 10^7 steps to finish
+_MIN_STEP_FRACTION = 1e-7
 
 
 class NonHermitianError(ValueError):
@@ -402,10 +403,10 @@ def _propagate(hfun, t0, t1, settings):
             e = float(err[accepted])
             h_prop = steps[accepted] * max(0.1, 0.9 * (tol / e) ** exponent)
             length = max(length // 2, _FIRST_BLOCK_STEPS)
-            if abs(h_prop) < h_floor:
-                raise IntegrationDivergedError(
-                    f"magnus step underflow at t = {t!r}", t
-                )
+        # accepted steps that keep shrinking (toward a finite-time
+        # singularity) stop here too, not only rejected ones
+        if abs(h_prop) < h_floor and (t1 - t) * direction > 0.0:
+            raise IntegrationDivergedError(f"magnus step underflow at t = {t!r}", t)
     return u
 
 
@@ -445,8 +446,9 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     control phase/transition accuracy only.  ``A`` and ``B`` (each member),
     or the callable's ``H(t0)``, are checked once per call by the
     ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``, and
-    a step size or step cap below ``1e-12`` of the span raises
-    ``IntegrationDivergedError``.
+    a proposed step or step cap below ``1e-7`` of the span raises
+    ``IntegrationDivergedError``, accepted or not, so a finite-time
+    singularity ends the run early.
     """
     if settings is None:
         settings = OdeSettings()

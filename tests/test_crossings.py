@@ -1,5 +1,9 @@
+import itertools
 import math
+import re
 import warnings
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,10 +24,12 @@ from lzscatter.crossings import (
     schedule_json,
     schedule_su3six,
 )
-from lzscatter.laxflow import stochastic_defect
-from lzscatter.models import MissingPartnerError, SingularPartnerError, build_model
-from lzscatter.numerics import OdeSettings
+from lzscatter.crossings import UnsupportedCrossingError
+from lzscatter.laxflow import smatrix_spin, stochastic_defect
+from lzscatter.models import MissingPartnerError, SingularPartnerError, build_model, build_spin_rep
+from lzscatter.numerics import OdeSettings, propagate_unitary
 from lzscatter.oracle import numeric_smatrix, propagate
+from lzscatter.zerocurv import verify_pair
 
 
 def bowtie_total(delta, a):
@@ -132,12 +138,29 @@ def test_schedule_su3six_table():
 
 
 def test_event_invariants():
-    with pytest.raises(ValueError, match="trivial"):
-        CrossingEvent(1, 0.0, 1.0, (1, 2), 0.0, 1.0, "two-level")
+    jz, jx = (0.5, -0.5), ((0.0, 0.5), (0.5, 0.0))
     with pytest.raises(ValueError, match="slope_eff"):
-        CrossingEvent(1, 0.0, 1.0, (1, 2), 0.1, 0.0, "two-level")
-    with pytest.raises(ValueError, match="kind"):
-        CrossingEvent(1, 0.0, 1.0, (1, 2), 0.1, 1.0, "four-level")
+        CrossingEvent(1, 0.0, 1.0, (1, 2), 0.1, 0.0, jz, jx)
+    with pytest.raises(ValueError, match="delta_eff"):
+        CrossingEvent(1, 0.0, 1.0, (1, 2), -0.1, 1.0, jz, jx)
+    # the kind is derived: trivial exactly when delta_eff == 0
+    assert CrossingEvent(1, 0.0, 1.0, (1, 2), 0.1, 1.0, jz, jx).kind == "two-level"
+    assert CrossingEvent(1, 0.0, 1.0, (1, 2), 0.0, 1.0, jz, jx).kind == "trivial"
+    with pytest.raises(AttributeError):
+        CrossingEvent(1, 0.0, 1.0, (1, 2), 0.1, 1.0, jz, jx).kind = "trivial"
+
+
+@pytest.mark.parametrize("coupling", [1e-200, 0.3, 1e200])
+def test_event_solve_is_scale_free(coupling):
+    # the su(2) solve squares the couplings; a tiny or huge one must
+    # neither underflow to an unsupported block nor overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = schedule_bowtie3(coupling, 1.0, 1.0)[0]
+        three = CrossingEvent.from_block(1, 0.0, 1.0, (1, 2, 3), (-1.0, 1.0, 0.0),
+                                         _hermitian(3, {(0, 2): coupling, (1, 2): coupling}))
+    assert (pair.kind, pair.delta_eff) == ("two-level", coupling)
+    assert (three.kind, three.delta_eff) == ("three-level", coupling)
 
 
 def test_local_smatrix_two_level_embedding():
@@ -158,16 +181,23 @@ def test_local_smatrix_three_level_embedding():
     assert s[2, 2] == pytest.approx(u * u)
     assert s[5, 2] == pytest.approx(v * v)
     assert s[4, 4] == pytest.approx((1 - 2 * u) ** 2)
-    assert s[5, 4] == s[2, 4] == pytest.approx(2 * u * v)
+    assert s[5, 4] == pytest.approx(2 * u * v, rel=1e-15)
+    assert s[2, 4] == pytest.approx(2 * u * v, rel=1e-15)
     assert s[0, 0] == s[1, 1] == s[3, 3] == 1.0
     assert stochastic_defect(s) < 1e-14
 
 
 def test_local_smatrix_reduced_block_is_stochastic():
-    event = CrossingEvent(
-        1, 1.0, 0.4, (6, 7, 1, 2), 0.7, 2.5, "three-level",
-        flat_levels=(1, 2), bright_weights=(0.75, 0.25),
-    )
+    # a sloped pair meeting a degenerate flat pair through its bright
+    # combination, weights (0.75, 0.25)
+    bright = 0.7 * np.sqrt([0.75, 0.25])
+    coupling = np.zeros((4, 4))
+    coupling[:2, 2:] = bright
+    coupling[2:, :2] = bright[:, None]
+    event = CrossingEvent.from_block(1, 1.0, 0.4, (6, 7, 1, 2), (-2.5, 2.5, 0.0, 0.0), coupling)
+    assert (event.kind, event.flat_levels) == ("three-level", (1, 2))
+    assert (event.delta_eff, event.slope_eff) == (pytest.approx(0.7, rel=1e-15), 2.5)
+    assert event.bright_weights == pytest.approx((0.75, 0.25), rel=1e-15)
     s = local_smatrix(event, 8)
     assert stochastic_defect(s) < 1e-14
     u = event.u_eff
@@ -412,18 +442,20 @@ def test_unsupported_cluster_kinds_are_reported():
     from lzscatter.crossings import UnsupportedCrossingError, _component_event
 
     loc = (0.0, 1.0)
-    # five mutually coupled crossing levels have no supported block
+    # five mutually coupled crossing levels at unequal slope steps
     g5 = np.full((5, 5), 0.3, dtype=complex)
-    with pytest.raises(UnsupportedCrossingError, match="5 mutually coupled"):
-        _component_event(list(range(5)), g5, np.arange(5.0), loc, set())
-    # four coupled levels whose flat pair couples to the sloped ones in
-    # different directions: no common dark state, genuinely unsupported
+    with pytest.raises(UnsupportedCrossingError,
+                       match=r"levels \[1, 2, 3, 4, 5\] are not an su\(2\) image"):
+        _component_event(list(range(5)), g5, np.arange(5.0), loc)
+    # four levels whose flat pair couples to the sloped ones in different
+    # directions: no common dark state, so [J_x, J_y] misses i J_z
     g4 = np.zeros((4, 4), dtype=complex)
     g4[0, 2] = g4[2, 0] = 0.3   # flat 0 couples only to sloped 2
     g4[1, 3] = g4[3, 1] = 0.3   # flat 1 couples only to sloped 3
     slopes = np.array([0.0, 0.0, -1.0, 1.0])
-    with pytest.raises(UnsupportedCrossingError, match="4 mutually coupled"):
-        _component_event([0, 1, 2, 3], g4, slopes, loc, {(0, 1)})
+    with pytest.raises(UnsupportedCrossingError,
+                       match=r"levels \[1, 2, 3, 4\] are not an su\(2\) image: \[J_x, J_y\]"):
+        _component_event([0, 1, 2, 3], g4, slopes, loc)
 
 
 def _hermitian(k, couplings):
@@ -433,37 +465,30 @@ def _hermitian(k, couplings):
     return g
 
 
-# hand-built clusters for the rejections that the test above does not reach:
-# (message, crossing pairs, generator, slopes, degenerate pairs)
+# hand-built clusters that are not su(2) images: (the levels the error
+# names, crossing pairs, generator, slopes, degenerate pairs)
 _SQ = (math.sqrt(0.75) * 0.3, math.sqrt(0.25) * 0.3)
 _REJECTED_CLUSTERS = {
     "no sloped-pair structure": (
-        "sloped-pair/flat structure", [(0, 1), (0, 2), (1, 2)],
+        [1, 2, 3], [(0, 1), (0, 2), (1, 2)],
         _hermitian(3, {(0, 1): 0.3, (0, 2): 0.3, (1, 2): 0.3}), [-1.0, 1.0, 0.0], set()),
     "asymmetric couplings": (
-        "unequal couplings", [(0, 2), (1, 2)],
+        [1, 2, 3], [(0, 2), (1, 2)],
         _hermitian(3, {(0, 2): 0.3, (1, 2): 0.5}), [-1.0, 1.0, 0.0], set()),
     "off-centre flat level": (
-        "off-center", [(0, 2), (1, 2)],
+        [1, 2, 3], [(0, 2), (1, 2)],
         _hermitian(3, {(0, 2): 0.3, (1, 2): 0.3}), [-1.0, 1.0, 0.5], set()),
-    "4 levels without a degenerate pair": (
-        "no degenerate flat pair", [(0, 2), (1, 3)],
-        _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1]}),
-        [0.0, 0.0, -1.0, 1.0], set()),
     "coupled sloped pair": (
-        "coupled sloped or flat pair", [(0, 2), (0, 3)],
+        [1, 2, 3, 4], [(0, 2), (0, 3)],
         _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1], (2, 3): 0.3}),
         [0.0, 0.0, -1.0, 1.0], {(0, 1)}),
     "unequal strengths": (
-        "unequal couplings", [(0, 2), (0, 3)],
+        [1, 2, 3, 4], [(0, 2), (0, 3)],
         _hermitian(4, {(0, 2): 0.3, (1, 2): 0.3, (0, 3): 0.3}), [0.0, 0.0, -1.0, 1.0], {(0, 1)}),
     "off-centre flat pair": (
-        "off-center", [(0, 2), (0, 3)],
+        [1, 2, 3, 4], [(0, 2), (0, 3)],
         _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1]}),
         [0.5, 0.5, -1.0, 1.0], {(0, 1)}),
-    "sloped pair of equal slope": (
-        "off-center", [(0, 2), (1, 2)],
-        _hermitian(3, {(0, 2): 0.3, (1, 2): 0.3}), [1.0, 1.0, 0.0], set()),
 }
 
 
@@ -471,7 +496,8 @@ _REJECTED_CLUSTERS = {
 def test_cluster_classifier_rejects(name):
     from lzscatter.crossings import UnsupportedCrossingError, _cluster_events
 
-    match, pairs, gmat, slopes, degenerate = _REJECTED_CLUSTERS[name]
+    names, pairs, gmat, slopes, degenerate = _REJECTED_CLUSTERS[name]
+    match = rf"crossing levels {re.escape(str(names))} are not an su\(2\) image"
     with pytest.raises(UnsupportedCrossingError, match=match):
         _cluster_events(set(pairs), gmat, np.array(slopes), (0.0, 1.0), degenerate)
 
@@ -500,6 +526,182 @@ def test_cluster_classifier_accepted_forms():
     assert four.delta_eff == pytest.approx(0.3, rel=1e-15)
     assert four.slope_eff == 1.0
     assert four.bright_weights == pytest.approx((0.75, 0.25), rel=1e-15)
+    # the same four levels without a degenerate pair on record: still spin 1
+    # plus the dark flat combination, with the bright/dark block
+    (same,) = _cluster_events({(0, 2), (1, 3)}, g, np.array([0.0, 0.0, -1.0, 1.0]), loc, set())
+    assert (same.levels, same.kind, same.flat_levels) == ((3, 4, 1, 2), "three-level", (1, 2))
+    u = same.u_eff
+    v = 1.0 - u
+    w = np.array([0.75, 0.25])
+    block = np.empty((4, 4))  # levels 3, 4, 1, 2
+    block[:2, :2] = [[u * u, v * v], [v * v, u * u]]
+    block[:2, 2:] = 2 * u * v * w
+    block[2:, :2] = block[:2, 2:].T
+    block[2:, 2:] = np.diag((1 - 2 * v * w) ** 2) + 4 * v * v * w[0] * w[1] * (1 - np.eye(2))
+    assert np.abs(local_smatrix(same, 4)[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])] - block).max() < 1e-15
+    # a sloped pair of equal slope meeting a flat level: the pair's bright
+    # combination makes a two-level crossing, spin 1/2, and its dark one
+    # passes at J_z = 1/2
+    (bright,) = _cluster_events({(0, 2), (1, 2)}, _hermitian(3, {(0, 2): 0.3, (1, 2): 0.3}),
+                                np.array([1.0, 1.0, 0.0]), loc, set())
+    assert (bright.levels, bright.kind, bright.flat_levels) == ((3, 1, 2), "two-level", None)
+    assert (bright.delta_eff, bright.slope_eff) == (pytest.approx(0.3 * math.sqrt(2.0), rel=1e-15), 0.5)
+    u = bright.u_eff
+    r = math.sqrt(u)
+    block = [[u, (1 - u) / 2, (1 - u) / 2],  # levels 3, 1, 2
+             [(1 - u) / 2, (1 + r) ** 2 / 4, (1 - r) ** 2 / 4],
+             [(1 - u) / 2, (1 - r) ** 2 / 4, (1 + r) ** 2 / 4]]
+    assert np.abs(local_smatrix(bright, 3)[np.ix_([2, 0, 1], [2, 0, 1])] - block).max() < 1e-15
+
+
+def _spin_block(two_j, mid, spacing, c, seed, dark):
+    """A spin-j crossing block in a random phase gauge and level order.
+
+    Slopes ``mid + spacing m`` and coupling ``c J_x`` over m = j ... -j;
+    with ``dark`` (integer j) a companion level at m = 0 whose rotation
+    with the spin's m = 0 level leaves one combination dark.  Returns the
+    levels' slopes, the coupling and the expected probability block (from
+    ``smatrix_spin``, and for the mixed pair from d^j_00 = P_j(cos beta)).
+    """
+    rng = np.random.default_rng(seed)
+    k = two_j + 1
+    m = two_j / 2 - np.arange(k)
+    phases = np.exp(2j * np.pi * rng.uniform(size=k))
+    g = c * phases[:, None] * build_spin_rep(k).x * phases.conj()
+    slopes = mid + spacing * m
+    # u = exp(-pi c^2 / (2 spacing)) = exp(-pi delta^2 / a) at delta = c, a = 2 spacing
+    expected = smatrix_spin(k, c, 2.0 * spacing)
+    if dark and two_j % 2 == 0:
+        z = two_j // 2
+        theta, phi = rng.uniform(0.2, 1.3), rng.uniform(0.0, 2.0 * np.pi)
+        q = np.eye(k + 1, dtype=complex)
+        q[np.ix_([z, k], [z, k])] = [[math.cos(theta), -math.sin(theta) * np.exp(-1j * phi)],
+                                     [math.sin(theta) * np.exp(1j * phi), math.cos(theta)]]
+        g = q @ np.pad(g, ((0, 1), (0, 1))) @ q.conj().T
+        slopes = np.append(slopes, mid)
+        d00 = np.polynomial.legendre.legval(2.0 * math.exp(-math.pi * c * c / (2.0 * spacing)) - 1.0,
+                                            [0.0] * z + [1.0])
+        w = np.abs(q[[z, k], z]) ** 2
+        expected = np.pad(expected, ((0, 1), (0, 1)))
+        expected[[z, k], :k] = w[:, None] * expected[z, :k]
+        expected[:k, [z, k]] = expected[:k, z][:, None] * w
+        amp = np.outer(q[[z, k], z], q[[z, k], z].conj()) * d00 + np.outer(q[[z, k], k], q[[z, k], k].conj())
+        expected[np.ix_([z, k], [z, k])] = np.abs(amp) ** 2
+    perm = rng.permutation(len(slopes))
+    return slopes[perm], g[np.ix_(perm, perm)], expected[np.ix_(perm, perm)]
+
+
+_SPIN_BLOCKS = dict(two_j=st.integers(1, 6), mid=st.floats(-3.0, 3.0), spacing=st.floats(0.2, 3.0),
+                    c=st.floats(0.05, 1.5), seed=st.integers(0, 2 ** 32 - 1), dark=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SPIN_BLOCKS)
+def test_su2_event_is_the_spin_rotation(two_j, mid, spacing, c, seed, dark):
+    # any spin-j block, in any gauge and level order, with or without a dark
+    # companion, is the permuted smatrix_spin block
+    slopes, g, expected = _spin_block(two_j, mid, spacing, c, seed, dark)
+    n = len(slopes)
+    event = CrossingEvent.from_block(1, 0.0, 1.0, range(1, n + 1), slopes, g)
+    assert event.exponent == pytest.approx(math.pi * c * c / (2.0 * spacing), rel=1e-12)
+    assert event.kind == {2: "two-level", 3: "three-level"}.get(two_j + 1, f"{two_j + 1}-level")
+    s = local_smatrix(event, n)
+    assert np.abs(s - expected).max() < 1e-13
+    assert stochastic_defect(s) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SPIN_BLOCKS, how=st.sampled_from(["strength", "skip", "offset"]))
+def test_su2_event_rejects_perturbed_blocks(two_j, mid, spacing, c, seed, dark, how):
+    # from spin 1 on, one unequal coupling, one |dm| = 2 coupling or one
+    # level off the ladder leaves no su(2) image
+    slopes, g, _ = _spin_block(max(two_j, 2), mid, spacing, c, seed, dark)
+    n = len(slopes)
+    order = np.argsort(-slopes, kind="stable")  # m = j first, then j - 1, ...
+    top, second = order[:2]
+    if how == "strength":
+        g[top, second] *= 1.2
+        g[second, top] *= 1.2
+    elif how == "skip":
+        below = order[np.argmax(slopes[order] < slopes[top] - 1.5 * spacing)]  # m = j - 2
+        g[top, below] = g[below, top] = 0.3 * c
+    else:
+        slopes = slopes.copy()
+        slopes[second] += 0.3 * spacing
+    levels = list(range(3, n + 3))
+    with pytest.raises(UnsupportedCrossingError,
+                       match=rf"crossing levels {re.escape(str(levels))} are not an su\(2\) image"):
+        CrossingEvent.from_block(1, 0.0, 1.0, levels, slopes, g)
+
+
+def _sym_lift(model, p):
+    """Sym^p of a partnered model and the isometry V onto the symmetric subspace.
+
+    Every coefficient X becomes ``V^T (X x 1 x ... + ... + 1 x ... x X) V``,
+    one level per multiset of p base levels: a Lie-algebra homomorphism,
+    so the lift of a zero-curvature pair is one, and the propagator of the
+    lift is ``V^T (U x ... x U) V`` for the base propagator U.
+    """
+    n = model.k
+    combos = list(itertools.combinations_with_replacement(range(n), p))
+    v = np.zeros((n ** p, len(combos)))
+    for col, combo in enumerate(combos):
+        orderings = set(itertools.permutations(combo))
+        for ordering in orderings:
+            v[np.ravel_multi_index(ordering, (n,) * p), col] = 1.0 / math.sqrt(len(orderings))
+    eye = np.eye(n)
+
+    def lift(x):
+        return v.T @ sum(reduce(np.kron, [x if slot == s else eye for s in range(p)])
+                         for slot in range(p)) @ v
+
+    coefficients = ("a0", "a1", "b", "e_inv", "e_0", "e_eps", "e1")
+    lifted = replace(model, family=f"sym{p}({model.family})", k=len(combos),
+                     **{name: lift(getattr(model, name)) for name in coefficients})
+    return lifted, v
+
+
+def _adiabatic_readout(model, u, t_final):
+    """``|V(T)^dag U V(-T)|^2``, each eigenvector of H(+-T) labelled by its dominant level."""
+    frames = []
+    for t in (-t_final, t_final):
+        _, vecs = np.linalg.eigh(model.hamiltonian(t))
+        label = np.argmax(np.abs(vecs) ** 2, axis=0)
+        assert sorted(label) == list(range(model.k))  # no degenerate diabatic levels
+        frame = np.empty_like(vecs)
+        frame[:, label] = vecs
+        frames.append(frame)
+    return np.abs(frames[1].conj().T @ u @ frames[0]) ** 2
+
+
+@pytest.mark.parametrize("delta, slope", [(0.3, 1.0), (0.5, 1.6)])
+@pytest.mark.parametrize("eps", [1.0, -1.0])
+def test_sym3_bowtie3_composes_to_its_propagation(delta, slope, eps):
+    # the 10-level Sym^3(bowtie3) has spin-3/2 crossings, four levels
+    # coupled as one ladder, that the su(2) event classifies; its composed
+    # S is exact, as propagation read out in the adiabatic frames shows
+    base = build_model("bowtie3", delta=delta, slope=slope, eps=eps)
+    model, v = _sym_lift(base, 3)
+    assert verify_pair(model).passed
+    events = derive_schedule_generic(model)
+    assert len(events) == 21
+    assert max(len(e.levels) for e in events if e.kind != "trivial") == 4
+    assert "4-level" in {e.kind for e in events}
+    assert path_counts(events, model.k).max() == 1
+    u_base = propagate_unitary((base.a_of(), base.b), -200.0, 200.0,
+                               OdeSettings(rtol=1e-8, atol=1e-10))
+    u = v.T @ reduce(np.kron, [u_base] * 3) @ v
+    assert np.abs(_adiabatic_readout(model, u, 200.0) - compose(events, model.k)).max() <= 1e-5
+
+
+def test_sym4_bowtie3_derives():
+    model, _ = _sym_lift(build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0), 4)
+    assert verify_pair(model).passed
+    events = derive_schedule_generic(model)
+    assert len(events) == 53
+    assert max(len(e.levels) for e in events if e.kind != "trivial") == 5
+    assert path_counts(events, model.k).max() == 1
+    assert stochastic_defect(compose(events, model.k)) < 1e-12
 
 
 def test_generic_detour_far_from_the_origin_in_eps():

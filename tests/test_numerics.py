@@ -131,6 +131,22 @@ def test_magnus_divergence_reports_last_time():
     assert 0.9 < err.value.last_t <= 1.05
 
 
+def test_finite_time_singularity_fails_fast():
+    # the coupled gap grows like 1/(1 - t)^2, so the accepted steps shrink
+    # toward t = 1 without a rejection; they must end the run at the step
+    # floor, not crawl on for some 10^6 steps (over 50 s)
+    calls = []
+
+    def hfun(t):
+        calls.append(t)
+        return (SIGMA1 + t * SIGMA3) / (1.0 - t) ** 2
+
+    with pytest.raises(IntegrationDivergedError, match=r"at t = 0\.99") as err:
+        propagate_unitary(hfun, 0.0, 2.0, OdeSettings(rtol=1e-10))
+    assert 0.999 < err.value.last_t < 1.0
+    assert len(calls) < 60_000  # about 37k samples of H; some 5M before
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_affine_pair_matches_callable(dim, seed, backward):
@@ -206,7 +222,7 @@ def test_callable_step_respects_coupled_gap_cap():
 
 
 def test_step_cap_below_floor_raises():
-    # a coupled gap near 1e14 caps the step near 6e-14, below 1e-12 of the
+    # a coupled gap near 1e14 caps the step near 6e-14, below 1e-7 of the
     # span: stepping on would take some 10^13 steps
     big = 1e14
     for hfun in ((big * SIGMA1, big * SIGMA3), lambda t: big * (SIGMA1 + t * SIGMA3)):
