@@ -526,9 +526,16 @@ def test_cluster_classifier_accepted_forms():
     assert four.delta_eff == pytest.approx(0.3, rel=1e-15)
     assert four.slope_eff == 1.0
     assert four.bright_weights == pytest.approx((0.75, 0.25), rel=1e-15)
-    # the same four levels without a degenerate pair on record: still spin 1
-    # plus the dark flat combination, with the bright/dark block
-    (same,) = _cluster_events({(0, 2), (1, 3)}, g, np.array([0.0, 0.0, -1.0, 1.0]), loc, set())
+
+
+def test_cluster_without_degenerate_record_is_spin_one_plus_dark():
+    from lzscatter.crossings import _cluster_events
+
+    # the flat-pair cluster of test_cluster_classifier_accepted_forms with no
+    # degenerate pair on record: still spin 1 plus the dark flat
+    # combination, with the bright/dark block
+    g = _hermitian(4, {(0, 2): _SQ[0], (1, 2): _SQ[1], (0, 3): _SQ[0], (1, 3): _SQ[1]})
+    (same,) = _cluster_events({(0, 2), (1, 3)}, g, np.array([0.0, 0.0, -1.0, 1.0]), (-1.0, 0.7), set())
     assert (same.levels, same.kind, same.flat_levels) == ((3, 4, 1, 2), "three-level", (1, 2))
     u = same.u_eff
     v = 1.0 - u
@@ -539,11 +546,16 @@ def test_cluster_classifier_accepted_forms():
     block[2:, :2] = block[:2, 2:].T
     block[2:, 2:] = np.diag((1 - 2 * v * w) ** 2) + 4 * v * v * w[0] * w[1] * (1 - np.eye(2))
     assert np.abs(local_smatrix(same, 4)[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])] - block).max() < 1e-15
+
+
+def test_equal_slope_pair_is_a_bright_two_level_crossing():
+    from lzscatter.crossings import _cluster_events
+
     # a sloped pair of equal slope meeting a flat level: the pair's bright
     # combination makes a two-level crossing, spin 1/2, and its dark one
     # passes at J_z = 1/2
     (bright,) = _cluster_events({(0, 2), (1, 2)}, _hermitian(3, {(0, 2): 0.3, (1, 2): 0.3}),
-                                np.array([1.0, 1.0, 0.0]), loc, set())
+                                np.array([1.0, 1.0, 0.0]), (-1.0, 0.7), set())
     assert (bright.levels, bright.kind, bright.flat_levels) == ((3, 1, 2), "two-level", None)
     assert (bright.delta_eff, bright.slope_eff) == (pytest.approx(0.3 * math.sqrt(2.0), rel=1e-15), 0.5)
     u = bright.u_eff
