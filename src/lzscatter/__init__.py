@@ -9,6 +9,7 @@ from .models import (
     UnknownFamilyError,
     build_model,
     build_spin_rep,
+    lift,
     model_from_descriptor,
 )
 from .numerics import (

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import crossings, laxflow, oracle, zerocurv
+from . import crossings, laxflow, models, oracle, zerocurv
 from .laxflow import NegativeProbabilityError
 from .models import (
     FAMILIES,
@@ -167,12 +167,10 @@ def default_method(family):
 
 
 def _algebraic_smatrix(model: AffineModel):
-    # lz2 is spin k = 2 (a0 = delta sigma_x, b = diag(a, -a))
-    s = laxflow.smatrix_spin(model.k, model.delta, model.slope)
-    if model.spin_basis_permutation is not None:
-        p = list(model.spin_basis_permutation)
-        s = s[np.ix_(p, p)]
-    return s
+    # one rotation exp(-i beta J_x) in the model's own lift of J_x (laxflow)
+    beta = math.acos(2.0 * laxflow.survival_weight(model.delta, model.slope) - 1.0)
+    jx = np.real_if_close(models.lift(models.build_spin_rep(2).x, model.rep))
+    return laxflow.rotation_probabilities(jx, beta)
 
 
 def _crossings_schedule(model: AffineModel):

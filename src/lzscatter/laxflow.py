@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import AffineModel, build_spin_rep
+from .models import AffineModel, build_spin_rep, lift
 from .numerics import propagate_unitary
 
 # entries this far below zero are roundoff and get clamped; anything
@@ -72,21 +72,20 @@ def asymptotic_v3(delta: float, a: float) -> float:
 def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     """Integrate i dV/dt = [V, H(t)] for a spin-family model.
 
-    ``v0`` are the (v1, v2, v3) coefficients of V(t0) in the model's spin
-    basis (permuted as the model's levels are, for ``adjoint3``).  Returns
+    ``v0`` are the (v1, v2, v3) coefficients of V(t0) in the model's own
+    su(2) generators ``G_a = lift(J_a, model.rep)``.  Returns
     ``(V(t1), BlochVector)``.
 
     ``V(t1) = W_k V(t0) W_k^dag`` with ``i dW_k/dt = -H W_k``, and
-    ``H = 2 (a t Z_k + delta X_k)`` is the spin-j image of the same element
-    of su(2) at every k, so ``W_k`` is the spin-j image of the 2 x 2
+    ``H = 2 (a t rho(Z_2) + delta rho(X_2))`` is the image of the same
+    element of su(2) in every model, so ``W_k`` is the image of the 2 x 2
     propagator W of the fundamental pair ``(-2 delta X_2, -2 a Z_2)``.  Only
     W is propagated.  Conjugation by it rotates the spin generators,
     ``W J_b W^dag = sum_a R_ab J_a`` with ``R_ab = 2 tr(J_a W J_b W^dag)``,
     by the same rotation R in every representation, so the Bloch vector is
-    ``R v0`` and ``V(t1) = sum_a (R v0)_a G_a`` in the model's spin-k
-    generators ``G_a``.  The cost is one 2 x 2 propagation at any k, and the
-    spectrum of V is that of V(t0) to roundoff.  A non-finite ``v0`` raises
-    ``ValueError``.
+    ``R v0`` and ``V(t1) = sum_a (R v0)_a G_a``.  The cost is one 2 x 2
+    propagation at any k, and the spectrum of V is that of V(t0) to
+    roundoff.  A non-finite ``v0`` raises ``ValueError``.
     """
     if model.family not in ("spin", "lz2", "adjoint3"):
         raise ValueError(f"evolve_lax needs a spin-family model, got {model.family!r}")
@@ -102,12 +101,7 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     j2 = np.stack((fund.x, fund.y, fund.z))
     rot = 2.0 * np.einsum("aij,bji->ab", j2, w @ j2 @ w.conj().T).real
     coeffs = rot @ v0
-    rep = build_spin_rep(model.k)
-    gens = np.stack((rep.x, rep.y, rep.z))
-    if model.spin_basis_permutation is not None:
-        p = list(model.spin_basis_permutation)
-        gens = gens[:, p][:, :, p]
-    return np.tensordot(coeffs, gens, axes=1), BlochVector(*(float(c) for c in coeffs))
+    return np.tensordot(coeffs, lift(j2, model.rep), axes=1), BlochVector(*(float(c) for c in coeffs))
 
 
 def spin_ladder(k: int) -> np.ndarray:

@@ -19,24 +19,29 @@ no family carries hand-written evaluation or derivative code.
 
 Families
 --------
-lz2       two levels, slopes +-a, coupling delta
-spin      k levels built from the spin-(k-1)/2 ladder matrices,
-          H = 2 (a t Z_k + delta X_k); k = 2 reproduces lz2
-adjoint3  the 3-level member of the spin family in the basis that puts
-          the two sweeping levels first (a permutation of spin k=3)
-bowtie3   two flat levels at +-eps coupled through one sweeping level
-bowtieN   k-2 sweeping levels, each coupled to both flat levels
-su3six    6-level bow-tie companion with slopes (0, 0, 0, a, a, 2a)
-su3adj8   8-level bow-tie companion with slopes (0, 0, 0, 0, -b, -b, b, b)
-          and imaginary couplings
+Two base models and their images under a Lie-algebra representation
+(``lift``), which keeps every term of the zero-curvature residual:
+
+lz2       base: two levels, H = 2 (a t Z_2 + delta X_2) in spin 1/2
+spin      Sym^(k-1)(lz2): H = 2 (a t Z_k + delta X_k), levels by
+          descending m; k = 2 reproduces lz2
+adjoint3  Ad(lz2): the spin-1 sweep with levels (m = +1, -1, 0)
+bowtie3   base: two flat levels at +-eps coupled through one sweeping
+          level (bowtieN with one sweeping level)
+bowtieN   base: k-2 sweeping levels, each coupled to both flat levels
+su3six    Sym^2(bowtie3): slopes (0, 0, 0, a, a, 2a)
+su3adj8   Ad(bowtie3): slopes (0, 0, 0, 0, -b, -b, b, b)
 
 All parameters are plain reals in units with hbar = 1.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,9 +49,12 @@ import numpy as np
 FAMILIES = ("lz2", "spin", "adjoint3", "bowtie3", "bowtieN", "su3six", "su3adj8")
 # the families with a flat-level splitting eps and a flow partner E
 PARTNERED_FAMILIES = ("bowtie3", "bowtieN", "su3six", "su3adj8")
+# the representation each lifted family applies to its base, lz2 or bowtie3
+# (spin applies Sym^(k-1) to lz2)
+_LIFTS = {"adjoint3": "adjoint", "su3six": ("sym", 2), "su3adj8": "adjoint"}
 
-_SQRT2 = math.sqrt(2.0)
-_SQRT32 = math.sqrt(1.5)
+# the spin-1/2 generators (X, Y, Z) of su(2), basis ordered by descending m
+_SU2 = np.array([[[0.0, 0.5], [0.5, 0.0]], [[0.0, -0.5j], [0.5j, 0.0]], [[0.5, 0.0], [0.0, -0.5]]])
 
 
 class UnknownFamilyError(ValueError):
@@ -61,6 +69,85 @@ class SingularPartnerError(ValueError):
     """The partner has 1/eps entries and eps is at the pole."""
 
 
+def lift(x, rep):
+    """The image ``rho(x)`` of an n x n matrix, or of a stack of them.
+
+    ``rep`` is ``("sym", p)``, the p-th symmetric power, ``"adjoint"``, or
+    ``None``, which returns ``x``.  ``rho`` is a Lie-algebra homomorphism
+    with ``rho(x^dag) = rho(x)^dag``, and ``rho(x) = sum_ij x_ij rho(E_ij)``
+    is one contraction with images that depend only on ``(n, rep)``.
+
+    - Sym^p acts on occupation-number states ``|n>``, ordered
+      colexicographically by their sorted level tuples (spin levels by
+      descending m; Sym^2 of three levels as 11, 12, 22, 13, 23, 33), by
+      ``rho(E_ij) |n> = sqrt(n_j (n_i + 1 - delta_ij)) |n - e_j + e_i>``.
+    - The adjoint acts by ``M_kl = tr(B_k^dag [x, B_l])`` on the orthonormal
+      traceless basis ``B`` adapted to the roots: for n = 2
+      ``(E12, -E21, -H)`` with ``H = diag(1, -1)/sqrt 2``, for n = 3
+      ``(H1, -H2, -iE21, iE12, iE23, iE13, -iE31, -iE32)`` with
+      ``H1 = diag(2, -1, -1)/sqrt 6`` and ``H2 = diag(0, 1, -1)/sqrt 2``.
+    """
+    x = np.asarray(x)
+    if rep is None:
+        return x
+    n = x.shape[-1]
+    images = _elementary_images(n, rep)
+    # tensordot over (i, j) as one matmul, which sets up faster; a sum of
+    # negative zeros is -0.0, and adding +0.0 keeps it out of the coefficients
+    out = x.reshape(*x.shape[:-2], n * n) @ images.reshape(n * n, -1) + 0.0
+    return out.reshape(*x.shape[:-2], *images.shape[2:])
+
+
+@functools.lru_cache(maxsize=None)
+def _elementary_images(n, rep):
+    # images[i, j] = rho(E_ij)
+    if rep == "adjoint":
+        # tr(C_k^dag [E_ij, C_l]) is a Gaussian integer on the unnormalized basis
+        # C; |.|^2 over the squared norms, then one sqrt, rounds each entry once
+        c = _adjoint_basis(n)
+        t = np.einsum("kia,lja->ijkl", c.conj(), c) - np.einsum("kaj,lai->ijkl", c.conj(), c)
+        squared_norms = np.einsum("kab,kab->k", c.conj(), c).real
+        norms = np.multiply.outer(squared_norms, squared_norms)
+        images = (np.sign(t.real) * np.sqrt(t.real ** 2 / norms)
+                  + 1j * np.sign(t.imag) * np.sqrt(t.imag ** 2 / norms))
+    elif isinstance(rep, tuple) and len(rep) == 2 and rep[0] == "sym" and _is_count(rep[1]) and rep[1] >= 1:
+        states = [tuple(c.count(i) for i in range(n)) for c in sorted(
+            itertools.combinations_with_replacement(range(n), int(rep[1])), key=lambda c: c[::-1])]
+        index = {state: col for col, state in enumerate(states)}
+        images = np.zeros((n, n, len(states), len(states)))
+        for (col, state), i, j in itertools.product(enumerate(states), range(n), range(n)):
+            if state[j]:
+                moved = tuple(s + (m == i) - (m == j) for m, s in enumerate(state))
+                images[i, j, index[moved], col] = math.sqrt(state[j] * (state[i] + (i != j)))
+    else:
+        raise ValueError(f"unknown representation {rep!r}; use ('sym', p) with p >= 1 or 'adjoint'")
+    images = images.astype(complex)
+    images.flags.writeable = False
+    return images
+
+
+def _adjoint_basis(n):
+    # the basis of ``lift``'s docstring, unnormalized
+    e = np.eye(n)[:, None, :, None] * np.eye(n)[None, :, None, :]  # e[i, j] = |i><j|
+    if n == 2:
+        return np.array([e[0, 1], -e[1, 0], -np.diag([1.0, -1.0])])
+    if n == 3:
+        return np.array([np.diag([2.0, -1.0, -1.0]), -np.diag([0.0, 1.0, -1.0]), -1j * e[1, 0], 1j * e[0, 1],
+                         1j * e[1, 2], 1j * e[0, 2], -1j * e[2, 0], -1j * e[2, 1]])
+    raise ValueError(f"the adjoint lift is defined for n = 2 and 3, got n = {n}")
+
+
+def _is_count(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _spin_sym(k):
+    # the spin-k generators are the Sym^(k-1) lift of the spin-1/2 ones
+    if not (_is_count(k) and k >= 2):
+        raise ValueError(f"spin family needs an integer k >= 2, got k = {k!r}")
+    return ("sym", int(k) - 1)
+
+
 @dataclass(frozen=True)
 class SpinRep:
     """Spin matrices (X, Y, Z) for dimension k, basis ordered by descending m."""
@@ -71,30 +158,12 @@ class SpinRep:
     z: np.ndarray
 
 
-def ladder_amplitude(k: int, m: float) -> float:
-    """Raising amplitude attached to the (m-1 -> m) transition."""
-    j = 0.5 * (k - 1)
-    return math.sqrt((j + m) * (j - m + 1.0))
-
-
 def build_spin_rep(k: int) -> SpinRep:
-    """Construct the k-dimensional spin matrices from ladder amplitudes.
+    """The k-dimensional spin matrices, lifted from the spin-1/2 ones.
 
     Basis index i holds m = (k-1)/2 - i, so Z = diag((k-1)/2, ..., -(k-1)/2).
     """
-    if k < 2:
-        raise ValueError(f"spin representation needs k >= 2, got {k}")
-    j = 0.5 * (k - 1)
-    ms = [j - i for i in range(k)]
-    z = np.diag(ms).astype(complex)
-    t_plus = np.zeros((k, k), dtype=complex)
-    for i, m in enumerate(ms):
-        if i + 1 < k:
-            # column i+1 holds m-1; raising lands on row i
-            t_plus[i, i + 1] = ladder_amplitude(k, m)
-    t_minus = t_plus.conj().T
-    x = 0.5 * (t_plus + t_minus)
-    y = -0.5j * (t_plus - t_minus)
+    x, y, z = lift(_SU2, _spin_sym(k))
     return SpinRep(k=k, x=x, y=y, z=z)
 
 
@@ -120,7 +189,8 @@ class AffineModel:
     e_0: Optional[np.ndarray] = None
     e_eps: Optional[np.ndarray] = None
     e1: Optional[np.ndarray] = None
-    spin_basis_permutation: Optional[tuple] = None
+    # the representation the family lifts its base model through (``lift``)
+    rep: object = None
 
     @property
     def has_partner(self) -> bool:
@@ -173,15 +243,6 @@ def _plain(value):
     return float(value)
 
 
-def _hermitize(upper: np.ndarray) -> np.ndarray:
-    # fill the lower triangle from the upper one; diagonal must be real
-    return upper + upper.conj().T - np.diag(np.diag(upper).real).astype(complex)
-
-
-def _diag(values) -> np.ndarray:
-    return np.diag(values).astype(complex)
-
-
 def _require_positive(name, value):
     value = float(value)
     if not value > 0.0:
@@ -195,31 +256,23 @@ def _scalar(name, value):
     return float(value)
 
 
-def _build_spin(k, delta, slope, family="spin", permute=None):
-    if k is None or int(k) < 2:
-        raise ValueError(f"spin family needs k >= 2, got {k}")
-    k = int(k)
+def _build_sweep(delta, slope, family, rep):
+    # 2 (a t rho(Z_2) + delta rho(X_2)): the generators are lifted before
+    # scaling, which keeps the spin entries the exact ladder amplitudes
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    rep = build_spin_rep(k)
-    a0 = 2.0 * d * rep.x
-    b = 2.0 * a * rep.z
-    if permute is not None:
-        p = list(permute)
-        a0 = a0[np.ix_(p, p)]
-        b = b[np.ix_(p, p)]
-    return AffineModel(
-        family=family, k=k, delta=d, slope=a, eps=None,
-        a0=a0, a1=np.zeros((k, k), dtype=complex), b=b,
-        spin_basis_permutation=tuple(permute) if permute is not None else None,
-    )
+    x, z = lift(_SU2[[0, 2]], rep)
+    k = len(x)
+    return AffineModel(family, k, d, a, None, 2.0 * d * x, np.zeros((k, k), dtype=complex), 2.0 * a * z,
+                       rep=rep)
 
 
-def _build_bowtie3(delta, slope, eps):
-    # bowtieN with one sweeping level, under the scalar descriptor
+def _build_bowtie3(delta, slope, eps, family, rep):
+    # bowtieN with one sweeping level, under the scalar descriptor, or its lift
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    return replace(_build_bowtieN((d,), (a,), eps), family="bowtie3", delta=d, slope=a)
+    c = lift(_bowtie_coefficients(np.array([d]), np.array([a])), rep)
+    return AffineModel(family, len(c[0]), d, a, _scalar("eps", eps), *c, rep=rep)
 
 
 def _build_bowtieN(deltas, slopes, eps):
@@ -235,102 +288,26 @@ def _build_bowtieN(deltas, slopes, eps):
             raise ValueError(
                 f"bowtieN slope magnitudes must be strictly increasing, got {mags}"
             )
-    e = _scalar("eps", eps)
-    n = len(slopes)
-    k = n + 2
-    d = np.array(deltas)
-    s = np.array(slopes)
-    sweep = np.arange(2, k)
-    flat = [1.0, -1.0] + [0.0] * n
-    hsum = float(np.sum(d * d / s))
-
-    a0 = np.zeros((k, k), dtype=complex)
-    a0[0, sweep] = a0[1, sweep] = d
-    e_inv = np.zeros((k, k), dtype=complex)
-    e_inv[0, 1] = -hsum
-    e_inv[sweep, sweep] = -hsum
-    e_0 = np.zeros((k, k), dtype=complex)
-    e_0[0, sweep] = -d / s
-    e_0[1, sweep] = d / s
-    return AffineModel(
-        family="bowtieN", k=k, delta=deltas, slope=slopes, eps=e,
-        a0=_hermitize(a0), a1=_diag(flat), b=_diag([0.0, 0.0] + list(slopes)),
-        e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
-        e_eps=_diag([0.0, 0.0] + list(1.0 / s)),
-        e1=_diag(flat),
-    )
+    c = _bowtie_coefficients(np.array(deltas), np.array(slopes))
+    return AffineModel("bowtieN", len(c[0]), deltas, slopes, _scalar("eps", eps), *c)
 
 
-def _build_su3six(delta, slope, eps):
-    d = _scalar("delta", delta)
-    a = _require_positive("slope", _scalar("slope", slope))
-    e = _scalar("eps", eps)
-    s2d = _SQRT2 * d
-    w = d * d / a
-    flat = [2.0, 0.0, -2.0, 1.0, -1.0, 0.0]
-
-    a0 = np.zeros((6, 6), dtype=complex)
-    a0[0, 3] = a0[2, 4] = a0[3, 5] = a0[4, 5] = s2d
-    a0[1, 3] = a0[1, 4] = d
-    e_inv = np.zeros((6, 6), dtype=complex)
-    e_inv[0, 1] = e_inv[1, 2] = -_SQRT2 * w
-    # the slot coupling the two equal-slope sweeping levels must carry the
-    # plain 1/eps weight; anything else breaks the commutation residual
-    e_inv[3, 4] = -w
-    e_inv[3, 3] = e_inv[4, 4] = -w
-    e_inv[5, 5] = -2.0 * w
-    e_0 = np.zeros((6, 6), dtype=complex)
-    e_0[0, 3] = e_0[3, 5] = -s2d / a
-    e_0[2, 4] = e_0[4, 5] = s2d / a
-    e_0[1, 3] = d / a
-    e_0[1, 4] = -d / a
-    return AffineModel(
-        family="su3six", k=6, delta=d, slope=a, eps=e,
-        a0=_hermitize(a0), a1=_diag(flat), b=_diag([0.0, 0.0, 0.0, a, a, 2 * a]),
-        e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
-        e_eps=_diag([0.0, 0.0, 0.0, 1.0 / a, 1.0 / a, 2.0 / a]),
-        e1=_diag(flat),
-    )
-
-
-def _build_su3adj8(delta, slope, eps):
-    d = _scalar("delta", delta)
-    b = _require_positive("slope", _scalar("slope", slope))
-    e = _scalar("eps", eps)
-    s2d = _SQRT2 * d
-    s32d = _SQRT32 * d
-    w = d * d / b
-    flat = [0.0, 0.0, -2.0, 2.0, -1.0, 1.0, -1.0, 1.0]
-
-    a0 = np.zeros((8, 8), dtype=complex)
-    a0[0, 5] = a0[0, 6] = -1j * s32d
-    a0[1, 4] = a0[1, 7] = 1j * s2d
-    a0[1, 5] = a0[1, 6] = 1j * d / _SQRT2
-    a0[2, 4] = a0[2, 6] = d
-    a0[3, 5] = a0[3, 7] = -d
-    # The two flat zero-weight levels admit a basis rotation that leaves H
-    # unchanged only together with a matching rotation of E; the partner
-    # below is the unique one (up to adding c(eps) * I) that satisfies the
-    # zero-curvature identity in the same basis as a0.
-    e_inv = np.zeros((8, 8), dtype=complex)
-    e_inv[4, 4] = e_inv[5, 5] = e_inv[6, 7] = w
-    e_inv[6, 6] = e_inv[7, 7] = e_inv[4, 5] = -w
-    e_inv[0, 2] = e_inv[0, 3] = 1j * _SQRT32 * w
-    e_inv[1, 2] = e_inv[1, 3] = 1j * w / _SQRT2
-    e_0 = np.zeros((8, 8), dtype=complex)
-    e_0[0, 5] = e_0[0, 6] = 1j * s32d / b
-    e_0[1, 4] = e_0[1, 7] = 1j * s2d / b
-    e_0[1, 5] = e_0[1, 6] = -1j * d / (_SQRT2 * b)
-    e_0[2, 4] = e_0[3, 5] = -d / b
-    e_0[2, 6] = e_0[3, 7] = d / b
-    return AffineModel(
-        family="su3adj8", k=8, delta=d, slope=b, eps=e,
-        a0=_hermitize(a0), a1=_diag(flat),
-        b=_diag([0.0, 0.0, 0.0, 0.0, -b, -b, b, b]),
-        e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
-        e_eps=_diag([0.0, 0.0, 0.0, 0.0, -1.0 / b, -1.0 / b, 1.0 / b, 1.0 / b]),
-        e1=_diag(flat),
-    )
+def _bowtie_coefficients(d, s):
+    # the stack (a0, a1, b, e_inv, e_0, e_eps, e1) of bowtieN, in AffineModel's
+    # field order; levels 0 and 1 are the flat pair, the others sweep with slopes s
+    k = len(s) + 2
+    c = np.zeros((7, k, k))
+    c[0, :2, 2:] = d
+    c[3, 0, 1] = -float((d * d / s).sum())
+    c[4, 0, 2:] = -d / s
+    c[4, 1, 2:] = d / s
+    c = c + c.transpose(0, 2, 1)
+    diagonals = c.reshape(7, k * k)[:, :: k + 1]
+    diagonals[1, :2] = diagonals[6, :2] = (1.0, -1.0)
+    diagonals[2, 2:] = s
+    diagonals[3, 2:] = c[3, 0, 1]
+    diagonals[5, 2:] = 1.0 / s
+    return c.astype(complex)
 
 
 def build_model(family, delta=None, slope=None, eps=None, k=None):
@@ -357,20 +334,12 @@ def build_model(family, delta=None, slope=None, eps=None, k=None):
         if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
             raise ValueError(f"{name} must be finite, got {value}")
 
-    if family == "lz2":
-        return _build_spin(2, delta, slope, family="lz2")
-    if family == "spin":
-        return _build_spin(k, delta, slope)
-    if family == "adjoint3":
-        # basis ordered (m=+1, m=-1, m=0) relative to the spin k=3 ladder
-        return _build_spin(3, delta, slope, family="adjoint3", permute=(0, 2, 1))
-    if family == "bowtie3":
-        return _build_bowtie3(delta, slope, eps)
+    rep = _spin_sym(k) if family == "spin" else _LIFTS.get(family)
+    if family in ("lz2", "spin", "adjoint3"):
+        return _build_sweep(delta, slope, family, rep)
     if family == "bowtieN":
         return _build_bowtieN(delta, slope, eps)
-    if family == "su3six":
-        return _build_su3six(delta, slope, eps)
-    return _build_su3adj8(delta, slope, eps)
+    return _build_bowtie3(delta, slope, eps, family, rep)
 
 
 def model_from_descriptor(descriptor: dict) -> AffineModel:

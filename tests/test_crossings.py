@@ -1,14 +1,13 @@
-import itertools
 import math
 import re
 import warnings
 from dataclasses import replace
-from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, logm
 from scipy.optimize import brentq as scipy_brentq
 
 from lzscatter import crossings
@@ -26,7 +25,7 @@ from lzscatter.crossings import (
 )
 from lzscatter.crossings import UnsupportedCrossingError
 from lzscatter.laxflow import smatrix_spin, stochastic_defect
-from lzscatter.models import MissingPartnerError, SingularPartnerError, build_model, build_spin_rep
+from lzscatter.models import MissingPartnerError, SingularPartnerError, build_model, build_spin_rep, lift
 from lzscatter.numerics import OdeSettings, propagate_unitary
 from lzscatter.oracle import numeric_smatrix, propagate
 from lzscatter.zerocurv import verify_pair
@@ -647,30 +646,16 @@ def test_su2_event_rejects_perturbed_blocks(two_j, mid, spacing, c, seed, dark, 
 
 
 def _sym_lift(model, p):
-    """Sym^p of a partnered model and the isometry V onto the symmetric subspace.
+    """Sym^p of a partnered model: every coefficient through ``models.lift``.
 
-    Every coefficient X becomes ``V^T (X x 1 x ... + ... + 1 x ... x X) V``,
-    one level per multiset of p base levels: a Lie-algebra homomorphism,
-    so the lift of a zero-curvature pair is one, and the propagator of the
-    lift is ``V^T (U x ... x U) V`` for the base propagator U.
+    A Lie-algebra homomorphism, so the lift of a zero-curvature pair is
+    one, and the propagator of the lift is ``exp(lift(log U))`` for the
+    base propagator U.
     """
-    n = model.k
-    combos = list(itertools.combinations_with_replacement(range(n), p))
-    v = np.zeros((n ** p, len(combos)))
-    for col, combo in enumerate(combos):
-        orderings = set(itertools.permutations(combo))
-        for ordering in orderings:
-            v[np.ravel_multi_index(ordering, (n,) * p), col] = 1.0 / math.sqrt(len(orderings))
-    eye = np.eye(n)
-
-    def lift(x):
-        return v.T @ sum(reduce(np.kron, [x if slot == s else eye for s in range(p)])
-                         for slot in range(p)) @ v
-
     coefficients = ("a0", "a1", "b", "e_inv", "e_0", "e_eps", "e1")
-    lifted = replace(model, family=f"sym{p}({model.family})", k=len(combos),
-                     **{name: lift(getattr(model, name)) for name in coefficients})
-    return lifted, v
+    lifted = {name: lift(getattr(model, name), ("sym", p)) for name in coefficients}
+    return replace(model, family=f"sym{p}({model.family})", k=len(lifted["a0"]), rep=("sym", p),
+                   **lifted)
 
 
 def _adiabatic_readout(model, u, t_final):
@@ -693,7 +678,7 @@ def test_sym3_bowtie3_composes_to_its_propagation(delta, slope, eps):
     # coupled as one ladder, that the su(2) event classifies; its composed
     # S is exact, as propagation read out in the adiabatic frames shows
     base = build_model("bowtie3", delta=delta, slope=slope, eps=eps)
-    model, v = _sym_lift(base, 3)
+    model = _sym_lift(base, 3)
     assert verify_pair(model).passed
     events = derive_schedule_generic(model)
     assert len(events) == 21
@@ -702,12 +687,12 @@ def test_sym3_bowtie3_composes_to_its_propagation(delta, slope, eps):
     assert path_counts(events, model.k).max() == 1
     u_base = propagate_unitary((base.a_of(), base.b), -200.0, 200.0,
                                OdeSettings(rtol=1e-8, atol=1e-10))
-    u = v.T @ reduce(np.kron, [u_base] * 3) @ v
+    u = expm(lift(logm(u_base), ("sym", 3)))
     assert np.abs(_adiabatic_readout(model, u, 200.0) - compose(events, model.k)).max() <= 1e-5
 
 
 def test_sym4_bowtie3_derives():
-    model, _ = _sym_lift(build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0), 4)
+    model = _sym_lift(build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0), 4)
     assert verify_pair(model).passed
     events = derive_schedule_generic(model)
     assert len(events) == 53

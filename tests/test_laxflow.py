@@ -260,7 +260,7 @@ def test_evolve_lax_permuted_basis_family():
     m = build_model("adjoint3", delta=0.0, slope=1.0)
     v_mat, bloch = evolve_lax(m, (0.0, 0.0, 1.0), -20.0, 20.0,
                               OdeSettings(rtol=1e-9, atol=1e-11))
-    p = list(m.spin_basis_permutation)
+    p = [0, 2, 1]  # Ad(lz2) has the spin-1 levels in the order m = +1, -1, 0
     z_perm = build_spin_rep(3).z[np.ix_(p, p)]
     assert np.abs(v_mat - z_perm).max() < 1e-10
     assert bloch.v3 == pytest.approx(1.0, abs=1e-10)
@@ -278,10 +278,8 @@ def test_evolve_lax_lift_matches_the_direct_propagation(family, k):
     m = build_model(family, k=k, delta=0.7, slope=1.3)
     settings_ = OdeSettings(rtol=1e-9, atol=1e-11)
     rep = build_spin_rep(m.k)
-    gens = [rep.x, rep.y, rep.z]
-    if m.spin_basis_permutation is not None:
-        p = list(m.spin_basis_permutation)
-        gens = [g[np.ix_(p, p)] for g in gens]
+    p = [0, 2, 1] if family == "adjoint3" else list(range(m.k))  # Ad(lz2) levels m = +1, -1, 0
+    gens = [g[np.ix_(p, p)] for g in (rep.x, rep.y, rep.z)]
     w = propagate_unitary((-m.a_of(), -m.b), -40.0, 25.0, settings_)
     rng = np.random.default_rng(m.k)
     for _ in range(3):

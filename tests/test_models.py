@@ -1,8 +1,13 @@
+import itertools
 import json
 import math
+import re
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lzscatter.models import (
     MissingPartnerError,
@@ -10,7 +15,7 @@ from lzscatter.models import (
     UnknownFamilyError,
     build_model,
     build_spin_rep,
-    ladder_amplitude,
+    lift,
     model_from_descriptor,
 )
 
@@ -33,7 +38,6 @@ def test_spin_rep_k3_offdiagonals():
 
 def test_spin_rep_k4_central_amplitude():
     # raising amplitude into m = 1/2 equals 2, giving the unit X entry
-    assert ladder_amplitude(4, 0.5) == pytest.approx(2.0)
     rep = build_spin_rep(4)
     assert np.allclose(np.diag(rep.x, 1).real, [SQ3 / 2, 1.0, SQ3 / 2])
 
@@ -57,7 +61,7 @@ def test_lz2_matches_two_level_form():
         assert np.array_equal(m.a0, np.array([[0.0, d], [d, 0.0]], dtype=complex))
         assert np.array_equal(m.a1, np.zeros((2, 2), dtype=complex))
         assert np.array_equal(m.b, np.diag([a, -a]).astype(complex))
-        assert (m.k, m.eps, m.spin_basis_permutation) == (2, None, None)
+        assert (m.k, m.eps, m.rep) == (2, None, None)
 
 
 def test_spin_family_reproduces_lz2_at_k2():
@@ -94,10 +98,12 @@ def test_adjoint3_matrix_and_permutation():
         ]
     )
     assert np.abs(m.hamiltonian(t) - expect).max() < 1e-14
-    # recorded permutation maps back to the descending-m spin basis
-    p = list(m.spin_basis_permutation)
-    spin = build_model("spin", k=3, delta=d, slope=a)
-    assert np.abs(m.hamiltonian(t) - spin.hamiltonian(t)[np.ix_(p, p)]).max() < 1e-14
+    # Ad(lz2) is the spin-1 sweep with its levels in the order (m = +1, -1, 0)
+    p = [0, 2, 1]
+    rep = build_spin_rep(3)
+    assert m.rep == "adjoint"
+    assert np.array_equal(m.a0, 2 * d * rep.x[np.ix_(p, p)])
+    assert np.array_equal(m.b, 2 * a * rep.z[np.ix_(p, p)])
 
 
 def test_bowtie3_entries():
@@ -199,6 +205,131 @@ def test_su3adj8_full_matrix_entry_for_entry():
     assert np.allclose(np.diag(m.b).real, [0, 0, 0, 0, -b, -b, b, b])
 
 
+def _hermitize(upper):
+    return upper + upper.conj().T - np.diag(np.diag(upper).real)
+
+
+def _su3six_written(d, a):
+    """The 6-level coefficients written out entry by entry, independent of the lift."""
+    s2d = SQ2 * d
+    w = d * d / a
+    flat = np.diag([2.0, 0.0, -2.0, 1.0, -1.0, 0.0])
+    a0 = np.zeros((6, 6), dtype=complex)
+    a0[0, 3] = a0[2, 4] = a0[3, 5] = a0[4, 5] = s2d
+    a0[1, 3] = a0[1, 4] = d
+    e_inv = np.zeros((6, 6), dtype=complex)
+    e_inv[0, 1] = e_inv[1, 2] = -SQ2 * w
+    # the slot coupling the two equal-slope sweeping levels must carry the
+    # plain 1/eps weight; anything else breaks the commutation residual
+    e_inv[3, 4] = -w
+    e_inv[3, 3] = e_inv[4, 4] = -w
+    e_inv[5, 5] = -2.0 * w
+    e_0 = np.zeros((6, 6), dtype=complex)
+    e_0[0, 3] = e_0[3, 5] = -s2d / a
+    e_0[2, 4] = e_0[4, 5] = s2d / a
+    e_0[1, 3] = d / a
+    e_0[1, 4] = -d / a
+    return dict(a0=_hermitize(a0), a1=flat, b=np.diag([0.0, 0.0, 0.0, a, a, 2 * a]),
+                e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
+                e_eps=np.diag([0.0, 0.0, 0.0, 1.0 / a, 1.0 / a, 2.0 / a]), e1=flat)
+
+
+def _su3adj8_written(d, b):
+    """The 8-level coefficients written out entry by entry, independent of the lift."""
+    s2d = SQ2 * d
+    s32d = SQ32 * d
+    w = d * d / b
+    flat = np.diag([0.0, 0.0, -2.0, 2.0, -1.0, 1.0, -1.0, 1.0])
+    a0 = np.zeros((8, 8), dtype=complex)
+    a0[0, 5] = a0[0, 6] = -1j * s32d
+    a0[1, 4] = a0[1, 7] = 1j * s2d
+    a0[1, 5] = a0[1, 6] = 1j * d / SQ2
+    a0[2, 4] = a0[2, 6] = d
+    a0[3, 5] = a0[3, 7] = -d
+    # the two flat zero-weight levels admit a basis rotation that leaves H
+    # unchanged only together with a matching rotation of E; this partner is
+    # the unique one (up to c(eps) I) in the same basis as a0
+    e_inv = np.zeros((8, 8), dtype=complex)
+    e_inv[4, 4] = e_inv[5, 5] = e_inv[6, 7] = w
+    e_inv[6, 6] = e_inv[7, 7] = e_inv[4, 5] = -w
+    e_inv[0, 2] = e_inv[0, 3] = 1j * SQ32 * w
+    e_inv[1, 2] = e_inv[1, 3] = 1j * w / SQ2
+    e_0 = np.zeros((8, 8), dtype=complex)
+    e_0[0, 5] = e_0[0, 6] = 1j * s32d / b
+    e_0[1, 4] = e_0[1, 7] = 1j * s2d / b
+    e_0[1, 5] = e_0[1, 6] = -1j * d / (SQ2 * b)
+    e_0[2, 4] = e_0[3, 5] = -d / b
+    e_0[2, 6] = e_0[3, 7] = d / b
+    return dict(a0=_hermitize(a0), a1=flat, b=np.diag([0.0, 0.0, 0.0, 0.0, -b, -b, b, b]),
+                e_inv=_hermitize(e_inv), e_0=_hermitize(e_0),
+                e_eps=np.diag([0.0, 0.0, 0.0, 0.0, -1.0 / b, -1.0 / b, 1.0 / b, 1.0 / b]), e1=flat)
+
+
+@pytest.mark.parametrize("family, written", [("su3six", _su3six_written), ("su3adj8", _su3adj8_written)])
+@pytest.mark.parametrize("d, a", [(0.2, 0.4), (-0.45, 1.3), (1.7, 0.05), (3.0, 25.0)])
+@pytest.mark.parametrize("eps", [1.0, -0.6, 3e4])
+def test_lifts_equal_the_written_coefficients(family, written, d, a, eps):
+    # Sym^2(bowtie3) and Ad(bowtie3) are the written 6- and 8-level models,
+    # coefficient by coefficient, with no phase gauge and the same zeros
+    m = build_model(family, delta=d, slope=a, eps=eps)
+    assert (m.k, m.eps, m.rep) == (len(m.a0), eps, {"su3six": ("sym", 2), "su3adj8": "adjoint"}[family])
+    for name, expect in written(d, a).items():
+        got = getattr(m, name)
+        assert np.array_equal(got == 0, expect == 0), name
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max(), name
+        assert np.array_equal(got, got.conj().T), name
+
+
+def _sym_reference(x, p):
+    """Sym^p(x) as ``V^T (x (x) 1 ... + ... + 1 ... (x) x) V`` on the symmetric subspace.
+
+    V maps each multiset of p levels, in colex order, to its normalized
+    symmetric tensor: the kron-projector form of the symmetric power,
+    built without occupation numbers.
+    """
+    n = len(x)
+    combos = sorted(itertools.combinations_with_replacement(range(n), p), key=lambda c: c[::-1])
+    v = np.zeros((n ** p, len(combos)))
+    for col, combo in enumerate(combos):
+        orderings = set(itertools.permutations(combo))
+        for ordering in orderings:
+            v[np.ravel_multi_index(ordering, (n,) * p), col] = 1.0 / math.sqrt(len(orderings))
+    eye = np.eye(n)
+    return v.T @ sum(reduce(np.kron, [x if slot == s else eye for s in range(p)])
+                     for slot in range(p)) @ v
+
+
+_REPS = [("sym", p) for p in range(1, 5)] + ["adjoint"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3]), rep=st.sampled_from(_REPS), seed=st.integers(0, 2 ** 32 - 1))
+def test_lift_is_a_lie_algebra_homomorphism(n, rep, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    rx, ry = lift(x, rep), lift(y, rep)
+    scale = np.abs(rx).max() * np.abs(ry).max()
+    assert np.abs(lift(x @ y - y @ x, rep) - (rx @ ry - ry @ rx)).max() <= 1e-13 * scale
+    assert np.abs(lift(x.conj().T, rep) - rx.conj().T).max() <= 1e-15 * np.abs(rx).max()
+    # a stack lifts member by member
+    assert np.abs(lift(np.stack([x, y]), rep) - np.stack([rx, ry])).max() <= 1e-14 * max(np.abs(rx).max(), np.abs(ry).max())
+    identity = lift(np.eye(n), rep)
+    if rep == "adjoint":
+        assert rx.shape == (n * n - 1,) * 2
+        assert np.abs(identity).max() == 0.0
+    else:
+        assert np.array_equal(identity, rep[1] * np.eye(len(identity)))
+        assert np.abs(rx - _sym_reference(x, rep[1])).max() <= 1e-14 * np.abs(rx).max()
+
+
+def test_lift_rejects_unknown_representations():
+    with pytest.raises(ValueError, match="n = 2 and 3"):
+        lift(np.eye(4), "adjoint")
+    for rep in (("sym", 0), ("sym", 1.5), "sym", ("alt", 2)):
+        with pytest.raises(ValueError, match="unknown representation"):
+            lift(np.eye(2), rep)
+
+
 @pytest.mark.parametrize(
     "family,params",
     [
@@ -246,6 +377,15 @@ def test_parameter_validation():
         build_model("bowtieN", delta=[0.1], slope=[1.0, 2.0], eps=1.0)
     with pytest.raises(TypeError):
         build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0, partnerb=0.8)
+
+
+@pytest.mark.parametrize("k", [3.7, 3.0, [3], "3", True, 1, None])
+def test_spin_k_must_be_an_integer_of_at_least_two(k):
+    # a fractional k is not truncated and a list is not a TypeError
+    with pytest.raises(ValueError, match=rf"k = {re.escape(repr(k))}"):
+        model_from_descriptor({"family": "spin", "k": k, "delta": 0.3, "slope": 1.0})
+    with pytest.raises(ValueError, match="integer k >= 2"):
+        build_spin_rep(k)
 
 
 @pytest.mark.parametrize("family, params, match", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lzscatter.models import AffineModel, MissingPartnerError, SingularPartnerError, build_model
+from lzscatter.models import AffineModel, MissingPartnerError, SingularPartnerError, build_model, lift
 from lzscatter.zerocurv import (
     PASS_THRESHOLD,
     curvature_residual,
@@ -56,6 +56,30 @@ def test_verify_pair_passes(family, params):
     report = verify_pair(build_model(family, **params))
     assert report.passed
     assert report.max_residual <= PASS_THRESHOLD
+
+
+def _lift_model(model, rep):
+    coefficients = ("a0", "a1", "b", "e_inv", "e_0", "e_eps", "e1")
+    lifted = {name: lift(getattr(model, name), rep) for name in coefficients}
+    return dataclasses.replace(model, family=f"{rep}({model.family})", k=len(lifted["a0"]), rep=rep,
+                               **lifted)
+
+
+@pytest.mark.parametrize("base, rep, k", [
+    (dict(family="bowtie3", delta=0.3, slope=1.1, eps=0.8), ("sym", 3), 10),
+    (dict(family="bowtie3", delta=0.45, slope=0.7, eps=-1.3), ("sym", 4), 15),
+    (dict(family="bowtieN", delta=[0.25, 0.2], slope=[0.6, 1.2], eps=0.9), ("sym", 2), 10),
+    (dict(family="bowtieN", delta=[0.25, 0.2], slope=[0.6, -1.2], eps=-0.7), ("sym", 2), 10),
+])
+def test_lifts_outside_the_catalog_are_solvable(base, rep, k):
+    # a homomorphism keeps every term of the residual, so lifting a
+    # commuting pair gives a new one: the library builds solvable models
+    # that the catalog does not name
+    model = _lift_model(build_model(**base), rep)
+    assert model.k == k
+    report = verify_pair(model)
+    assert report.passed
+    assert report.max_residual <= 1e-13
 
 
 def test_verify_pair_detects_broken_partner():
