@@ -29,7 +29,6 @@ from . import crossings, laxflow, models, oracle, zerocurv
 from .laxflow import NegativeProbabilityError
 from .models import (
     FAMILIES,
-    PARTNERED_FAMILIES,
     AffineModel,
     MissingPartnerError,
     SingularPartnerError,
@@ -43,7 +42,7 @@ DEFAULT_LEDGER = "lzscatter_runs.jsonl"
 
 STOCHASTIC_TOL = 1e-8
 
-ALGEBRAIC_FAMILIES = ("lz2", "spin", "adjoint3")
+METHODS = ("algebraic", "crossings", "numeric")
 
 
 class ValidationFailure(Exception):
@@ -116,21 +115,16 @@ def _real_matrix_json(m):
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
-def _dump(obj, out_path=None):
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def _write_lines(lines, out_path=None):
     if out_path:
         with open(out_path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
         print("\n".join(lines))
+
+
+def _dump(obj, out_path=None):
+    _write_lines([json.dumps(obj, sort_keys=True, indent=2)], out_path)
 
 
 def _digest(matrix):
@@ -158,12 +152,10 @@ def _append_record(args, descriptor, method, digest, error_estimate, passed):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def default_method(family):
-    if family in ALGEBRAIC_FAMILIES:
-        return "algebraic"
-    if family in ("bowtie3", "bowtieN", "su3six"):
-        return "crossings"
-    return "numeric"
+def default_method(model: AffineModel):
+    # every catalog model lifts lz2 or bowtie3: a lift of bowtie3 carries its
+    # flow partner and takes the crossings route, a lift of lz2 the algebraic one
+    return "crossings" if model.has_partner else "algebraic"
 
 
 def _algebraic_smatrix(model: AffineModel):
@@ -184,22 +176,10 @@ def _crossings_schedule(model: AffineModel):
 
 
 def compute_smatrix(model: AffineModel, method, args):
-    """Return (matrix, meta) for the requested method."""
-    if method == "algebraic":
-        if model.family not in ALGEBRAIC_FAMILIES:
-            raise UsageError(f"method algebraic unsupported for family {model.family!r}")
-        return _algebraic_smatrix(model), {}
-    if method == "crossings":
-        if model.family not in PARTNERED_FAMILIES:
-            raise UsageError(f"method crossings unsupported for family {model.family!r}")
-        schedule = _crossings_schedule(model)
-        matrix = crossings.compose(schedule, model.k)
-        _check_single_paths(crossings.path_counts(schedule, model.k))
-        return matrix, {"events": len(schedule)}
+    """Return (matrix, meta) for the requested method; an exact route takes
+    only the models whose ``default_method`` it is."""
     if method == "numeric":
-        result = oracle.numeric_smatrix(
-            model, t_final=args.T, settings=_settings(args)
-        )
+        result = oracle.numeric_smatrix(model, t_final=args.T, settings=_settings(args))
         meta = {
             "T": result.horizon,
             "error_estimate": result.error_estimate,
@@ -207,7 +187,14 @@ def compute_smatrix(model: AffineModel, method, args):
             "converged": result.converged,
         }
         return result.s_num, meta
-    raise UsageError(f"unknown method {method!r}")
+    if method != default_method(model):
+        raise UsageError(f"method {method} unsupported for family {model.family!r}")
+    if method == "algebraic":
+        return _algebraic_smatrix(model), {}
+    schedule = _crossings_schedule(model)
+    matrix = crossings.compose(schedule, model.k)
+    _check_single_paths(crossings.path_counts(schedule, model.k))
+    return matrix, {"events": len(schedule)}
 
 
 def _check_stochastic(matrix):
@@ -239,12 +226,11 @@ def cmd_model_show(args):
         "b": _matrix_json(model.b),
     }
     if model.has_partner:
+        out["e1"] = _matrix_json(model.e1)
         try:
             out["e0"] = _matrix_json(model.partner_constant())
-            out["e1"] = _matrix_json(model.e1)
         except SingularPartnerError:
             out["e0"] = None
-            out["e1"] = _matrix_json(model.e1)
             out["partner_note"] = "partner singular at eps = 0"
     _dump(out, args.out)
     _append_record(args, model.descriptor(), "show", _digest(model.b.real), None, True)
@@ -253,7 +239,7 @@ def cmd_model_show(args):
 
 def cmd_smatrix(args):
     model = _build_from_args(args)
-    method = args.method or default_method(model.family)
+    method = args.method or default_method(model)
     matrix, meta = compute_smatrix(model, method, args)
     _check_stochastic(matrix)
     out = {
@@ -264,7 +250,7 @@ def cmd_smatrix(args):
     }
     out.update(meta)
     if method == "numeric":
-        out["rtol"] = args.rtol if args.rtol is not None else 1e-8
+        out["rtol"] = _settings(args).rtol
     _dump(out, args.out)
     _append_record(
         args, model.descriptor(), method, _digest(matrix),
@@ -350,15 +336,11 @@ def cmd_zero_curvature(args):
 
 
 def cmd_sweep(args):
-    ranged = {
-        name: getattr(args, name)
-        for name in ("delta", "slope", "eps")
-        if _is_range(getattr(args, name))
-    }
+    ranged = [name for name in ("delta", "slope", "eps") if _is_range(getattr(args, name))]
     if len(ranged) != 1:
         raise UsageError("sweep needs exactly one ranged parameter (start:stop:step)")
-    (param, spec_text), = ranged.items()
-    values = _parse_range(spec_text)
+    param, = ranged
+    values = _parse_range(getattr(args, param))
     entries = None
     if args.entries:
         entries = []
@@ -373,29 +355,17 @@ def cmd_sweep(args):
 
     header = None
     rows = []
-    method = args.method
     for value in values:
-        kwargs = {
-            "delta": _parse_values(args.delta) if param != "delta" else float(value),
-            "slope": _parse_values(args.slope) if param != "slope" else float(value),
-            "eps": (float(args.eps) if args.eps is not None else None)
-            if param != "eps"
-            else float(value),
-            "k": args.k,
-        }
-        try:
-            model = build_model(args.family, **kwargs)
-        except (UnknownFamilyError, ValueError) as exc:
-            raise UsageError(str(exc)) from None
-        descriptor = model.descriptor()
+        # the command line with the ranged parameter set to one point
+        model = _build_from_args(argparse.Namespace(**{**vars(args), param: float(value)}))
         # indices are 1-based: 0 would wrap to the last level, k + 1 would raise
         k = model.k
         outside = [f"{i},{j}" for i, j in entries or () if not (0 < i <= k and 0 < j <= k)]
         if outside:
             raise UsageError(f"entries {'; '.join(outside)} outside 1..{k}")
-        if method is None:
-            method = default_method(model.family)
+        method = args.method or default_method(model)
         matrix, _meta = compute_smatrix(model, method, args)
+        _check_stochastic(matrix)
         if entries is None:
             selected = [(i + 1, j + 1) for i in range(k) for j in range(k)]
         else:
@@ -411,7 +381,7 @@ def cmd_sweep(args):
     lines = [header] + rows
     _write_lines(lines, args.out)
     csv_digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    _append_record(args, descriptor, method, csv_digest, None, True)
+    _append_record(args, model.descriptor(), method, csv_digest, None, True)
     return 0
 
 
@@ -432,6 +402,18 @@ def build_parser():
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--ledger", default=None, help="run-ledger path override")
 
+    def add_route_args(p, methods=False):
+        # compare takes two or more routes (--methods), smatrix and sweep one
+        if methods:
+            p.add_argument("--methods", nargs="+", required=True, choices=METHODS,
+                           help="routes to cross-validate")
+        else:
+            p.add_argument("--method", choices=METHODS, default=None,
+                           help="route (default: crossings for a family with a flow "
+                           "partner, else algebraic)")
+        p.add_argument("--T", type=float, default=None, help="numeric horizon")
+        p.add_argument("--rtol", type=float, default=None, help="numeric tolerance")
+
     model_p = sub.add_parser("model", help="inspect catalog models")
     model_sub = model_p.add_subparsers(dest="model_command", required=True)
     show_p = model_sub.add_parser("show", help="print A(eps), B and partner parts")
@@ -440,17 +422,12 @@ def build_parser():
 
     sm_p = sub.add_parser("smatrix", help="compute a scattering matrix")
     add_model_args(sm_p)
-    sm_p.add_argument("--method", choices=("algebraic", "crossings", "numeric"), default=None)
-    sm_p.add_argument("--T", type=float, default=None, help="numeric horizon")
-    sm_p.add_argument("--rtol", type=float, default=None, help="numeric tolerance")
+    add_route_args(sm_p)
     sm_p.set_defaults(func=cmd_smatrix)
 
     cp_p = sub.add_parser("compare", help="cross-validate methods")
     add_model_args(cp_p)
-    cp_p.add_argument("--methods", nargs="+", required=True,
-                      choices=("algebraic", "crossings", "numeric"))
-    cp_p.add_argument("--T", type=float, default=None)
-    cp_p.add_argument("--rtol", type=float, default=None)
+    add_route_args(cp_p, methods=True)
     cp_p.set_defaults(func=cmd_compare)
 
     sp_p = sub.add_parser("spectrum", help="adiabatic spectrum CSV")
@@ -466,9 +443,7 @@ def build_parser():
 
     sw_p = sub.add_parser("sweep", help="CSV of S entries over one ranged parameter")
     add_model_args(sw_p)
-    sw_p.add_argument("--method", choices=("algebraic", "crossings", "numeric"), default=None)
-    sw_p.add_argument("--T", type=float, default=None)
-    sw_p.add_argument("--rtol", type=float, default=None)
+    add_route_args(sw_p)
     sw_p.add_argument("--entries", default=None, help='entry filter "i,j;i,j"')
     sw_p.set_defaults(func=cmd_sweep)
 

@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .laxflow import clamp_probabilities, rotation_probabilities
-from .models import AffineModel, SingularPartnerError
+from .models import AffineModel, SingularPartnerError, bowtieN_lists
 
 # samples per path segment used to bracket gap sign changes
 _SEGMENT_SAMPLES = 4096
@@ -338,16 +338,8 @@ def schedule_bowtieN(deltas, slopes, eps: float):
     negative.  Second pass at t = +R in descending order with the flat
     roles exchanged.
     """
-    deltas = [float(v) for v in np.atleast_1d(deltas)]
-    slopes = [float(v) for v in np.atleast_1d(slopes)]
-    if len(deltas) != len(slopes) or not deltas:
-        raise ValueError("delta and slope lists must have equal nonzero length")
-    if any(s == 0.0 for s in slopes):
-        raise ValueError("slopes must be nonzero")
+    deltas, slopes = bowtieN_lists(deltas, slopes)
     mags = [abs(s) for s in slopes]
-    for lo, hi in zip(mags, mags[1:]):
-        if not lo < hi:
-            raise ValueError(f"slope magnitudes must be strictly increasing, got {mags}")
     if not float(eps) > 0.0:
         raise ValueError("bowtieN schedule requires eps > 0")
     events = []

@@ -70,7 +70,7 @@ def asymptotic_v3(delta: float, a: float) -> float:
 
 
 def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
-    """Integrate i dV/dt = [V, H(t)] for a spin-family model.
+    """Integrate i dV/dt = [V, H(t)] for a spin-family model (a lift of lz2).
 
     ``v0`` are the (v1, v2, v3) coefficients of V(t0) in the model's own
     su(2) generators ``G_a = lift(J_a, model.rep)``.  Returns
@@ -87,7 +87,7 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     propagation at any k, and the spectrum of V is that of V(t0) to
     roundoff.  A non-finite ``v0`` raises ``ValueError``.
     """
-    if model.family not in ("spin", "lz2", "adjoint3"):
+    if model.has_partner:  # a lift of bowtie3
         raise ValueError(f"evolve_lax needs a spin-family model, got {model.family!r}")
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (3,):
@@ -115,10 +115,9 @@ def smatrix_spin(k: int, delta: float, a: float) -> np.ndarray:
 
     ``S = |d^j(beta)|^2`` entrywise with ``cos(beta) = 2u - 1`` (module
     docstring); one rotation, so cost and roundoff stay flat in k.  Rows
-    and columns are ordered by descending diabatic slope.
+    and columns are ordered by descending diabatic slope.  A k that is not
+    an integer >= 2 raises ``ValueError`` (``build_spin_rep``).
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     beta = math.acos(2.0 * survival_weight(delta, a) - 1.0)
     # Y = R X R^dag with R diagonal, so |exp(-i beta Y)| = |exp(-i beta X)|;
     # a real eigh of X is more accurate than a complex eigh of Y

@@ -275,7 +275,12 @@ def _build_bowtie3(delta, slope, eps, family, rep):
     return AffineModel(family, len(c[0]), d, a, _scalar("eps", eps), *c, rep=rep)
 
 
-def _build_bowtieN(deltas, slopes, eps):
+def bowtieN_lists(deltas, slopes):
+    """bowtieN's coupling and slope lists as float tuples, checked.
+
+    The lists have equal nonzero length, and the slope magnitudes are
+    nonzero and strictly increasing.
+    """
     deltas = tuple(float(v) for v in np.atleast_1d(deltas))
     slopes = tuple(float(v) for v in np.atleast_1d(slopes))
     if len(deltas) != len(slopes) or not deltas:
@@ -288,6 +293,11 @@ def _build_bowtieN(deltas, slopes, eps):
             raise ValueError(
                 f"bowtieN slope magnitudes must be strictly increasing, got {mags}"
             )
+    return deltas, slopes
+
+
+def _build_bowtieN(deltas, slopes, eps):
+    deltas, slopes = bowtieN_lists(deltas, slopes)
     c = _bowtie_coefficients(np.array(deltas), np.array(slopes))
     return AffineModel("bowtieN", len(c[0]), deltas, slopes, _scalar("eps", eps), *c)
 

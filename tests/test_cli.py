@@ -159,26 +159,57 @@ def test_non_finite_input_exit_2_writes_no_record(tmp_path, capsys, params):
     assert not ledger.exists()
 
 
-def test_nan_matrix_fails_stochastic_check(tmp_path, capsys, monkeypatch):
-    # NaN compares False with everything, so a `defect > tol` test passed it
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--family", "bowtie3", "--delta", "0.3", "--slope", "1", "--eps", "1"],
+    ["sweep", "--family", "bowtie3", "--delta", "0.3", "--slope", "0.5:1:0.25", "--eps", "1"],
+], ids=["smatrix", "sweep"])
+def test_nan_matrix_fails_stochastic_check(tmp_path, capsys, monkeypatch, argv):
+    # NaN compares False with everything, so a `defect > tol` test passed it;
+    # sweep printed rows of nan and recorded a pass
     monkeypatch.setattr(cli, "compute_smatrix",
                         lambda model, method, args: (np.full((3, 3), np.nan), {}))
+    out_file = tmp_path / "out"
     ledger = tmp_path / "l.jsonl"
-    code, _, err = run(capsys, "smatrix", "--family", "bowtie3", "--delta", "0.3",
-                       "--slope", "1", "--eps", "1", "--ledger", str(ledger))
+    code, _, err = run(capsys, *argv, "--out", str(out_file), "--ledger", str(ledger))
     assert code == 1
     assert err.startswith("FAIL: scattering matrix violates double stochasticity")
+    assert not out_file.exists()
     assert not ledger.exists()
 
 
-def test_smatrix_unsupported_method(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "smatrix", "--family", "bowtie3",
-        "--delta", "0.3", "--slope", "1", "--eps", "1",
-        "--method", "algebraic", "--ledger", str(tmp_path / "l.jsonl"),
-    )
-    assert code == 2
-    assert "unsupported" in err
+EXACT_ROUTES = {
+    "lz2": (["--delta=0.5", "--slope=1"], "algebraic"),
+    "spin": (["--k=4", "--delta=0.5", "--slope=1"], "algebraic"),
+    "adjoint3": (["--delta=0.5", "--slope=1"], "algebraic"),
+    "bowtie3": (["--delta=0.3", "--slope=1", "--eps=1"], "crossings"),
+    "bowtieN": (["--delta=0.2,0.3", "--slope=1,-2", "--eps=1"], "crossings"),
+    "su3six": (["--delta=0.2", "--slope=0.4", "--eps=1"], "crossings"),
+    "su3adj8": (["--delta=0.2", "--slope=0.4", "--eps=1"], "crossings"),
+}
+
+
+@pytest.mark.parametrize("family", EXACT_ROUTES)
+def test_default_route_is_the_only_exact_route(tmp_path, capsys, family):
+    # a family with a flow partner takes the crossings route, the others the
+    # algebraic one; the default is that route and prints what naming it prints
+    params, route = EXACT_ROUTES[family]
+    ledger = tmp_path / "l.jsonl"
+    argv = ["smatrix", f"--family={family}", *params, "--ledger", str(ledger)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["method"] == route
+    assert run(capsys, *argv, f"--method={route}")[:2] == (0, out)
+    other = {"algebraic": "crossings", "crossings": "algebraic"}[route]
+    code, out, err = run(capsys, *argv, f"--method={other}")
+    assert (code, out) == (2, "")
+    assert f"method {other} unsupported for family {family!r}" in err
+    assert len(ledger.read_text().splitlines()) == 2
+    if route == "crossings":
+        # eps = 0 is the partner's pole: no exact route, no numeric fallback
+        code, out, err = run(capsys, *[p.replace("--eps=1", "--eps=0") for p in argv])
+        assert (code, out) == (2, "")
+        assert "eps = 0" in err
+        assert len(ledger.read_text().splitlines()) == 2
 
 
 def test_compare_pass_and_corrupt(tmp_path, capsys, monkeypatch):
