@@ -9,7 +9,8 @@ successful invocation to a JSON-lines run ledger.
 Exit codes: 0 success, 1 validation failure (an invariant or comparison
 did not hold, including a computed probability below the clamp floor and
 a crossings schedule with more than one event path between two levels),
-2 input error, 3 internal error (an unexpected exception,
+2 input error (including a ``--T`` or ``--rtol`` the numeric route cannot
+meet), 3 internal error (an unexpected exception,
 reported as ``internal error: <Class>: <message>``).
 """
 
@@ -35,7 +36,7 @@ from .models import (
     UnknownFamilyError,
     build_model,
 )
-from .numerics import OdeSettings
+from .numerics import IntegrationDivergedError, OdeSettings
 
 LEDGER_ENV = "LZSCATTER_LEDGER"
 DEFAULT_LEDGER = "lzscatter_runs.jsonl"
@@ -161,7 +162,7 @@ def default_method(model: AffineModel):
 def _algebraic_smatrix(model: AffineModel):
     # one rotation exp(-i beta J_x) in the model's own lift of J_x (laxflow)
     beta = math.acos(2.0 * laxflow.survival_weight(model.delta, model.slope) - 1.0)
-    jx = np.real_if_close(models.lift(models.build_spin_rep(2).x, model.rep))
+    jx = np.real_if_close(models.lift(models.SU2[0], model.rep))
     return laxflow.rotation_probabilities(jx, beta)
 
 
@@ -179,7 +180,15 @@ def compute_smatrix(model: AffineModel, method, args):
     """Return (matrix, meta) for the requested method; an exact route takes
     only the models whose ``default_method`` it is."""
     if method == "numeric":
-        result = oracle.numeric_smatrix(model, t_final=args.T, settings=_settings(args))
+        settings = _settings(args)
+        try:
+            result = oracle.numeric_smatrix(model, t_final=args.T, settings=settings)
+        except IntegrationDivergedError as exc:
+            # the step control needs a step below its floor: this horizon and
+            # tolerance ask more than the route can serve, not a bug
+            horizon = args.T if args.T is not None else oracle.default_horizon(model)
+            raise UsageError(f"the numeric route cannot meet --T {horizon:g} at --rtol {settings.rtol:g} "
+                             f"({exc}); use a shorter --T or a looser --rtol") from None
         meta = {
             "T": result.horizon,
             "error_estimate": result.error_estimate,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import AffineModel, build_spin_rep, lift
+from .models import SU2, AffineModel, build_spin_rep, lift
 from .numerics import propagate_unitary
 
 # entries this far below zero are roundoff and get clamped; anything
@@ -79,29 +79,27 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     ``V(t1) = W_k V(t0) W_k^dag`` with ``i dW_k/dt = -H W_k``, and
     ``H = 2 (a t rho(Z_2) + delta rho(X_2))`` is the image of the same
     element of su(2) in every model, so ``W_k`` is the image of the 2 x 2
-    propagator W of the fundamental pair ``(-2 delta X_2, -2 a Z_2)``.  Only
-    W is propagated.  Conjugation by it rotates the spin generators,
+    propagator W of the pair ``-(a0, b)`` of its base lz2 (``model.base``,
+    or the model itself when it has none).  Only W is propagated.
+    Conjugation by it rotates the spin generators,
     ``W J_b W^dag = sum_a R_ab J_a`` with ``R_ab = 2 tr(J_a W J_b W^dag)``,
     by the same rotation R in every representation, so the Bloch vector is
     ``R v0`` and ``V(t1) = sum_a (R v0)_a G_a``.  The cost is one 2 x 2
     propagation at any k, and the spectrum of V is that of V(t0) to
     roundoff.  A non-finite ``v0`` raises ``ValueError``.
     """
-    if model.has_partner:  # a lift of bowtie3
+    base = model.base or model
+    if model.has_partner or base.k != 2:  # a lift of bowtie3, or a lift without its base
         raise ValueError(f"evolve_lax needs a spin-family model, got {model.family!r}")
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (3,):
         raise ValueError("v0 must be three Bloch coefficients")
     if not np.isfinite(v0).all():
         raise ValueError(f"v0 must be finite, got {v0.tolist()}")
-    fund = build_spin_rep(2)
-    w = propagate_unitary(
-        (-2.0 * model.delta * fund.x, -2.0 * model.slope * fund.z), t0, t1, settings
-    )
-    j2 = np.stack((fund.x, fund.y, fund.z))
-    rot = 2.0 * np.einsum("aij,bji->ab", j2, w @ j2 @ w.conj().T).real
+    w = propagate_unitary((-base.a0, -base.b), t0, t1, settings)
+    rot = 2.0 * np.einsum("aij,bji->ab", SU2, w @ SU2 @ w.conj().T).real
     coeffs = rot @ v0
-    return np.tensordot(coeffs, lift(j2, model.rep), axes=1), BlochVector(*(float(c) for c in coeffs))
+    return np.tensordot(coeffs, lift(SU2, model.rep), axes=1), BlochVector(*(float(c) for c in coeffs))
 
 
 def spin_ladder(k: int) -> np.ndarray:

@@ -20,7 +20,9 @@ no family carries hand-written evaluation or derivative code.
 Families
 --------
 Two base models and their images under a Lie-algebra representation
-(``lift``), which keeps every term of the zero-curvature residual:
+(``lift``), which keeps every term of the zero-curvature residual.  A
+lifted model keeps its base model (``AffineModel.base``), and the group
+representation ``lift_unitary`` maps the base's propagator to its own:
 
 lz2       base: two levels, H = 2 (a t Z_2 + delta X_2) in spin 1/2
 spin      Sym^(k-1)(lz2): H = 2 (a t Z_k + delta X_k), levels by
@@ -54,7 +56,7 @@ PARTNERED_FAMILIES = ("bowtie3", "bowtieN", "su3six", "su3adj8")
 _LIFTS = {"adjoint3": "adjoint", "su3six": ("sym", 2), "su3adj8": "adjoint"}
 
 # the spin-1/2 generators (X, Y, Z) of su(2), basis ordered by descending m
-_SU2 = np.array([[[0.0, 0.5], [0.5, 0.0]], [[0.0, -0.5j], [0.5j, 0.0]], [[0.5, 0.0], [0.0, -0.5]]])
+SU2 = np.array([[[0.0, 0.5], [0.5, 0.0]], [[0.0, -0.5j], [0.5j, 0.0]], [[0.5, 0.0], [0.0, -0.5]]])
 
 
 class UnknownFamilyError(ValueError):
@@ -110,20 +112,81 @@ def _elementary_images(n, rep):
         norms = np.multiply.outer(squared_norms, squared_norms)
         images = (np.sign(t.real) * np.sqrt(t.real ** 2 / norms)
                   + 1j * np.sign(t.imag) * np.sqrt(t.imag ** 2 / norms))
-    elif isinstance(rep, tuple) and len(rep) == 2 and rep[0] == "sym" and _is_count(rep[1]) and rep[1] >= 1:
-        states = [tuple(c.count(i) for i in range(n)) for c in sorted(
-            itertools.combinations_with_replacement(range(n), int(rep[1])), key=lambda c: c[::-1])]
+    else:
+        states = _sym_states(n, rep)
         index = {state: col for col, state in enumerate(states)}
         images = np.zeros((n, n, len(states), len(states)))
         for (col, state), i, j in itertools.product(enumerate(states), range(n), range(n)):
             if state[j]:
                 moved = tuple(s + (m == i) - (m == j) for m, s in enumerate(state))
                 images[i, j, index[moved], col] = math.sqrt(state[j] * (state[i] + (i != j)))
+    return _frozen(images)
+
+
+def lift_unitary(u, rep):
+    """The group image ``Pi(u)`` of an n x n unitary, or of a stack of them.
+
+    ``Pi`` is the representation of U(n) whose derivative is ``lift``:
+    ``Pi(exp(-i x)) = exp(-i lift(x, rep))`` for Hermitian x,
+    ``Pi(u w) = Pi(u) Pi(w)`` and ``Pi(u^dag) = Pi(u)^dag``, so the
+    propagator of a lifted model is the image of its base's propagator.
+    With the isometry V of ``(n, rep)``, built once on first use:
+
+    - Sym^p: ``Pi(u) = V^dag (u (x) ... (x) u) V``, p factors, V mapping each
+      occupation state to its normalized symmetric tensor;
+    - adjoint: ``Pi(u) = V^dag (u (x) conj(u)) V``, V's columns the row-major
+      vectors of ``lift``'s root-adapted basis B, so that
+      ``Pi(u)_kl = tr(B_k^dag u B_l u^dag)``.
+
+    ``rep=None`` returns ``u``.
+    """
+    u = np.asarray(u)
+    if rep is None:
+        return u
+    v = _isometry(u.shape[-1], rep)
+    power = u
+    for factor in [u.conj()] if rep == "adjoint" else [u] * (rep[1] - 1):
+        power = _kron(power, factor)
+    return v.conj().T @ power @ v
+
+
+def _kron(x, y):
+    # np.kron of the last two axes, member by member over a stack
+    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(*shape, x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1])
+
+
+@functools.lru_cache(maxsize=None)
+def _isometry(n, rep):
+    # V of lift_unitary: rows index the tensor-product basis (row-major),
+    # columns the basis of the representation in lift's order
+    if rep == "adjoint":
+        c = _adjoint_basis(n)
+        v = c.reshape(len(c), n * n).T
     else:
+        # a 1 at every ordering of each state's levels
+        states = _sym_states(n, rep)
+        index = {state: col for col, state in enumerate(states)}
+        v = np.zeros((n ** rep[1], len(states)))
+        for row, levels in enumerate(itertools.product(range(n), repeat=rep[1])):
+            v[row, index[tuple(levels.count(i) for i in range(n))]] = 1.0
+    return _frozen(v / np.linalg.norm(v, axis=0))
+
+
+def _sym_states(n, rep):
+    # the occupation states of Sym^p of n levels, colexicographic by their
+    # sorted level tuples; any rep other than ("sym", p >= 1) or "adjoint" raises
+    if not (isinstance(rep, tuple) and len(rep) == 2 and rep[0] == "sym" and _is_count(rep[1]) and rep[1] >= 1):
         raise ValueError(f"unknown representation {rep!r}; use ('sym', p) with p >= 1 or 'adjoint'")
-    images = images.astype(complex)
-    images.flags.writeable = False
-    return images
+    return [tuple(c.count(i) for i in range(n)) for c in sorted(
+        itertools.combinations_with_replacement(range(n), int(rep[1])), key=lambda c: c[::-1])]
+
+
+def _frozen(m):
+    m = m.astype(complex)
+    m.flags.writeable = False
+    return m
 
 
 def _adjoint_basis(n):
@@ -163,7 +226,7 @@ def build_spin_rep(k: int) -> SpinRep:
 
     Basis index i holds m = (k-1)/2 - i, so Z = diag((k-1)/2, ..., -(k-1)/2).
     """
-    x, y, z = lift(_SU2, _spin_sym(k))
+    x, y, z = lift(SU2, _spin_sym(k))
     return SpinRep(k=k, x=x, y=y, z=z)
 
 
@@ -191,6 +254,11 @@ class AffineModel:
     e1: Optional[np.ndarray] = None
     # the representation the family lifts its base model through (``lift``)
     rep: object = None
+    # the base model, lz2 or bowtie3, at the same parameters, whose
+    # coefficients ``rep`` lifts to these; None for a base model and for a
+    # model built by hand.  The numeric route propagates it in place of
+    # the model, so a copy with other a0, a1 or b must drop it
+    base: Optional["AffineModel"] = None
 
     @property
     def has_partner(self) -> bool:
@@ -261,18 +329,22 @@ def _build_sweep(delta, slope, family, rep):
     # scaling, which keeps the spin entries the exact ladder amplitudes
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    x, z = lift(_SU2[[0, 2]], rep)
+    x, z = lift(SU2[[0, 2]], rep)
     k = len(x)
+    base = None if rep is None else _build_sweep(d, a, "lz2", None)
     return AffineModel(family, k, d, a, None, 2.0 * d * x, np.zeros((k, k), dtype=complex), 2.0 * a * z,
-                       rep=rep)
+                       rep=rep, base=base)
 
 
 def _build_bowtie3(delta, slope, eps, family, rep):
     # bowtieN with one sweeping level, under the scalar descriptor, or its lift
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    c = lift(_bowtie_coefficients(np.array([d]), np.array([a])), rep)
-    return AffineModel(family, len(c[0]), d, a, _scalar("eps", eps), *c, rep=rep)
+    e = _scalar("eps", eps)
+    c = _bowtie_coefficients(np.array([d]), np.array([a]))
+    base = None if rep is None else AffineModel("bowtie3", 3, d, a, e, *c)
+    c = lift(c, rep)
+    return AffineModel(family, len(c[0]), d, a, e, *c, rep=rep, base=base)
 
 
 def bowtieN_lists(deltas, slopes):
@@ -326,8 +398,8 @@ def build_model(family, delta=None, slope=None, eps=None, k=None):
     ``delta``/``slope`` are scalars except for bowtieN, which takes equal
     length lists.  ``eps`` is required for the bow-tie-type families and
     refused by the others; ``k`` is required for the spin family and
-    refused by the others.  A non-finite ``delta``, ``slope`` or ``eps``
-    raises ``ValueError``.
+    refused by the others.  A non-finite ``delta``, ``slope`` or ``eps``,
+    or one that overflows a coefficient, raises ``ValueError``.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(
@@ -345,11 +417,17 @@ def build_model(family, delta=None, slope=None, eps=None, k=None):
             raise ValueError(f"{name} must be finite, got {value}")
 
     rep = _spin_sym(k) if family == "spin" else _LIFTS.get(family)
-    if family in ("lz2", "spin", "adjoint3"):
-        return _build_sweep(delta, slope, family, rep)
-    if family == "bowtieN":
-        return _build_bowtieN(delta, slope, eps)
-    return _build_bowtie3(delta, slope, eps, family, rep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family in ("lz2", "spin", "adjoint3"):
+            model = _build_sweep(delta, slope, family, rep)
+        elif family == "bowtieN":
+            model = _build_bowtieN(delta, slope, eps)
+        else:
+            model = _build_bowtie3(delta, slope, eps, family, rep)
+    coefficients = (model.a0, model.a1, model.b, model.e_inv, model.e_0, model.e_eps, model.e1)
+    if not all(np.isfinite(c).all() for c in coefficients if c is not None):
+        raise ValueError(f"delta {delta} and slope {slope} overflow the coefficients of {family!r}")
+    return model
 
 
 def model_from_descriptor(descriptor: dict) -> AffineModel:

@@ -277,14 +277,24 @@ def _step_generators(hfun, t0):
     m, n, _ = a.shape
     # the basis holds seven Hermitian matrices per member and each
     # generator is one real combination of them, formed for every step and
-    # member at once by one product on the float view of the basis
-    c = _commutator(a, b)
-    bc = _commutator(b, c)
-    ac = _commutator(a, c)
-    basis = np.stack((
-        a, b, 1j * c, bc, 1j * _commutator(a, ac), 1j * _commutator(b, ac),
-        1j * _commutator(b, bc),
-    )).reshape(7, m, n * n)
+    # member at once by one product on the float view of the basis.  The
+    # basis is quartic in (A, B) (|A|^3 |B| for [A, [A, C]]) and the cap
+    # quartic's coefficients are its squares, so a large pair overflows
+    # them; that is refused by name, not left to eigh
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _commutator(a, b)
+        bc = _commutator(b, c)
+        ac = _commutator(a, c)
+        basis = np.stack((
+            a, b, 1j * c, bc, 1j * _commutator(a, ac), 1j * _commutator(b, ac),
+            1j * _commutator(b, bc),
+        )).reshape(7, m, n * n)
+        caps = [_cap_quartic(last, c_member) for last, c_member in zip(np.swapaxes(basis[4:], 0, 1), c)]
+    if not (np.isfinite(basis).all() and np.isfinite(caps).all()):
+        raise ValueError(
+            f"A and B overflow the Magnus basis or its step cap: max|A| = {np.abs(a).max():.3e}, "
+            f"max|B| = {np.abs(b).max():.3e} (its entries are quartic in A and B, their squares)"
+        )
     basis_re = basis.reshape(7, -1).view(float)
 
     def generators(t, h):
@@ -301,20 +311,10 @@ def _step_generators(hfun, t0):
         out = coef.reshape(-1, 7) @ basis_re
         return out.view(complex).reshape(coef.shape[:-1] + (m, n, n))
 
-    # the gap g(t) is estimated as (|[H, [H, C]]| / |C|)^(1/2) (Frobenius,
-    # H = H(t)); |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of
-    # each member's last three basis rows
-    caps = []
-    for last, c_member in zip(np.swapaxes(basis[4:], 0, 1), c):
-        gram = (last.conj() @ last.T).real
-        quartic = (gram[2, 2], 4.0 * gram[1, 2], 4.0 * gram[1, 1] + 2.0 * gram[0, 2],
-                   4.0 * gram[0, 1], gram[0, 0])
-        caps.append((float(np.vdot(c_member, c_member).real), [float(x) for x in quartic]))
-
     def max_step(t, h):
         mid = t + 0.5 * h
         ratio = np.inf
-        for c_sq, quartic in caps:
+        for c_sq, *quartic in caps:
             q = quartic[0]
             for coef in quartic[1:]:
                 q = q * mid + coef
@@ -323,6 +323,16 @@ def _step_generators(hfun, t0):
         return _MAX_STEP_PHASE * ratio ** 0.25
 
     return n, generators, 6, max_step
+
+
+def _cap_quartic(last, c):
+    # the gap g(t) is estimated as (|[H, [H, C]]| / |C|)^(1/2) (Frobenius,
+    # H = H(t)); |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of
+    # a member's last three basis rows.  Returns |C|^2 and the quartic's
+    # coefficients, highest power first
+    gram = (last.conj() @ last.T).real
+    return [float(np.vdot(c, c).real), float(gram[2, 2]), float(4.0 * gram[1, 2]),
+            float(4.0 * gram[1, 1] + 2.0 * gram[0, 2]), float(4.0 * gram[0, 1]), float(gram[0, 0])]
 
 
 def _capped_step(max_step, t, h, h_floor):

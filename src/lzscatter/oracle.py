@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laxflow import clamp_probabilities
-from .models import AffineModel
+from .models import AffineModel, lift_unitary
 from .numerics import propagate_unitary, unitarity_defect
 
 # entrywise spread across horizons beyond which a result is flagged
@@ -50,7 +50,11 @@ def _horizon(model, t_final):
 
 
 def propagate(model: AffineModel, t_final=None, settings=None) -> np.ndarray:
-    """Unitary U(T, -T) whose columns solve i du/dt = H(t) u."""
+    """Unitary U(T, -T) whose columns solve i du/dt = H(t) u.
+
+    Always the model's own k x k pair, lifted or not: the direct reference
+    for ``numeric_smatrix``'s lifted route.
+    """
     t_final = _horizon(model, t_final)
     return propagate_unitary((model.a_of(), model.b), -t_final, t_final, settings)
 
@@ -67,18 +71,28 @@ def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleRe
     spread of the three probability matrices is the error estimate.  A
     spread above 0.1 flags the result as non-converged (it is still
     returned).
+
+    A lifted model (``model.base`` set: spin, adjoint3, su3six, su3adj8)
+    propagates its base's pair instead, 2 x 2 for a lift of lz2 and 3 x 3
+    for one of bowtie3, and reads ``U = Pi(F G^dag)`` with ``Pi`` the group
+    representation ``models.lift_unitary``, whose derivative is the lift
+    that built the model's coefficients.  ``Pi`` is exact, so U is the
+    propagator of the model itself up to the base run's tolerance; the
+    step control and the error estimate see the base.  A model without a
+    base, including one lifted by hand, propagates its own k x k pair.
     """
     t_final = _horizon(model, t_final)
-    a = model.a_of()
-    mirrored = (np.stack((a, -a)), np.stack((model.b, model.b)))
-    f = g = np.eye(model.k, dtype=complex)
+    base, rep = (model, None) if model.base is None else (model.base, model.rep)
+    a = base.a_of(model.eps)
+    mirrored = (np.stack((a, -a)), np.stack((base.b, base.b)))
+    f = g = np.eye(base.k, dtype=complex)
     mats = []
     defect = 0.0
     inner = 0.0
     for outer in (0.5 * t_final, t_final / np.sqrt(2.0), t_final):
         shell_f, shell_g = propagate_unitary(mirrored, inner, outer, settings)
         f, g = shell_f @ f, shell_g @ g
-        u = f @ g.conj().T
+        u = lift_unitary(f @ g.conj().T, rep)
         defect = max(defect, unitarity_defect(u))
         mats.append(np.abs(u) ** 2)
         inner = outer

@@ -385,6 +385,41 @@ def test_crossings_eps_beyond_the_detour_exit_2_without_warning(tmp_path, capsys
     assert not ledger.exists()
 
 
+@pytest.mark.parametrize("route_args, match", [
+    (("--T", "1e12"), "cannot meet --T 1e+12 at --rtol 1e-08"),
+    (("--rtol", "1e-20"), "cannot meet --T 300 at --rtol 1e-20"),
+])
+def test_numeric_route_beyond_its_step_floor_exit_2(tmp_path, capsys, route_args, match):
+    # a horizon or tolerance the step control cannot serve is bad input, not
+    # an internal error (it was exit 3, IntegrationDivergedError)
+    ledger = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "smatrix", "--family", "spin", "--k", "3", "--delta", "0.5",
+                         "--slope", "1", "--method", "numeric", *route_args, "--ledger", str(ledger))
+    assert code == 2
+    assert match in err
+    assert "use a shorter --T or a looser --rtol" in err
+    assert out == ""
+    assert not ledger.exists()
+
+
+@pytest.mark.parametrize("delta, match", [
+    ("1e200", "delta 1e+200 and slope 0.4 overflow the coefficients of 'su3six'"),
+    ("1e120", "overflow the Magnus basis or its step cap: max|A| = 1.000e+120"),
+])
+def test_numeric_overflow_exit_2_without_warning(tmp_path, capsys, delta, match):
+    ledger = tmp_path / "l.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "smatrix", "--family", "su3six", "--delta", delta,
+                             "--slope", "0.4", "--eps", "1", "--method", "numeric", "--T", "50",
+                             "--ledger", str(ledger))
+    assert code == 2
+    assert match in err
+    assert out == ""
+    assert not caught
+    assert not ledger.exists()
+
+
 @pytest.mark.parametrize("span", ["0.5:inf:0.5", "nan:1:0.5", "0.5:1.5:nan"])
 def test_sweep_non_finite_range_exit_2(tmp_path, capsys, span):
     ledger = tmp_path / "l.jsonl"

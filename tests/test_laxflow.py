@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -289,6 +290,14 @@ def test_evolve_lax_lift_matches_the_direct_propagation(family, k):
         assert np.abs(v_mat - direct).max() <= 1e-7
         assert np.abs(v_mat - sum(c * g for c, g in zip(bloch.as_array(), gens))).max() <= 1e-14
         assert bloch.norm == pytest.approx(float(np.linalg.norm(v0)), rel=1e-12)
+
+
+def test_evolve_lax_rejects_a_spin_lift_without_its_base():
+    # only the 2 x 2 base pair is propagated; a k x k model with no base
+    # has none to give
+    m = dataclasses.replace(build_model("spin", k=4, delta=0.5, slope=1.0), base=None)
+    with pytest.raises(ValueError, match="spin-family"):
+        evolve_lax(m, (0, 0, 1), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0), (0.0, 0.0, -np.inf)])

@@ -16,6 +16,7 @@ from lzscatter.models import (
     build_model,
     build_spin_rep,
     lift,
+    lift_unitary,
     model_from_descriptor,
 )
 
@@ -328,6 +329,108 @@ def test_lift_rejects_unknown_representations():
     for rep in (("sym", 0), ("sym", 1.5), "sym", ("alt", 2)):
         with pytest.raises(ValueError, match="unknown representation"):
             lift(np.eye(2), rep)
+
+
+def _expmi(x):
+    # exp(-i x) for a Hermitian x
+    w, v = np.linalg.eigh(x)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _random_unitary(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return _expmi(x + x.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3]), rep=st.sampled_from(_REPS), seed=st.integers(0, 2 ** 32 - 1))
+def test_lift_unitary_is_the_group_representation_of_lift(n, rep, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = x + x.conj().T
+    # its derivative is lift: Pi(exp(-i x)) = exp(-i lift(x))
+    lx = lift(x, rep)
+    expect = _expmi(lx)
+    assert np.abs(lift_unitary(_expmi(x), rep) - expect).max() <= 1e-13 * max(1.0, np.abs(lx).max())
+    # a homomorphism that keeps the adjoint, unitary like u
+    u, w = _random_unitary(rng, n), _random_unitary(rng, n)
+    pu, pw = lift_unitary(u, rep), lift_unitary(w, rep)
+    assert np.abs(lift_unitary(u @ w, rep) - pu @ pw).max() <= 1e-13
+    assert np.abs(lift_unitary(u.conj().T, rep) - pu.conj().T).max() <= 1e-14
+    assert np.abs(pu.conj().T @ pu - np.eye(len(pu))).max() <= 1e-13
+    # a stack lifts member by member
+    assert np.abs(lift_unitary(np.stack([u, w]), rep) - np.stack([pu, pw])).max() <= 1e-14
+
+
+def test_lift_unitary_rejects_unknown_representations():
+    u = np.eye(2, dtype=complex)
+    assert lift_unitary(u, None) is u
+    with pytest.raises(ValueError, match="n = 2 and 3"):
+        lift_unitary(np.eye(4), "adjoint")
+    for rep in (("sym", 0), ("sym", 1.5), "sym", ("alt", 2)):
+        with pytest.raises(ValueError, match="unknown representation"):
+            lift_unitary(u, rep)
+
+
+_COEFFICIENTS = ("a0", "a1", "b", "e_inv", "e_0", "e_eps", "e1")
+
+
+@pytest.mark.parametrize("family, params", [
+    ("spin", dict(k=2, delta=0.7, slope=1.3)),
+    ("spin", dict(k=3, delta=-0.35, slope=2.5)),
+    ("spin", dict(k=5, delta=0.6, slope=1.1)),
+    ("spin", dict(k=8, delta=0.3, slope=0.7)),
+    ("adjoint3", dict(delta=0.4, slope=0.9)),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=1.0)),
+    ("su3six", dict(delta=-0.45, slope=1.3, eps=-0.6)),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=-1.0)),
+    ("su3adj8", dict(delta=1.7, slope=0.05, eps=3e4)),
+])
+def test_lifted_model_is_the_lift_of_its_base(family, params):
+    m = build_model(family, **params)
+    base = m.base
+    base_params = {key: value for key, value in params.items() if key != "k"}
+    # the base is the catalog's own lz2 or bowtie3 at the same parameters
+    catalog = build_model("bowtie3" if m.has_partner else "lz2", **base_params)
+    assert (base.family, base.k, base.eps, base.rep, base.base) == (catalog.family, catalog.k, catalog.eps, None, None)
+    names = [name for name in _COEFFICIENTS if getattr(m, name) is not None]
+    assert all(np.array_equal(getattr(base, name), getattr(catalog, name)) for name in names)
+    # equal to the last bit (array_equal: a zero's sign aside, as 2 delta X
+    # gives -0.0 at delta < 0 where lift adds +0.0)
+    for name, got in zip(names, lift(np.stack([getattr(base, name) for name in names]), m.rep)):
+        expect = getattr(m, name)
+        if family == "spin" and name == "b":
+            # the spin slopes are the ladder 2 a m rounded once per entry; the
+            # lift of diag(a, -a) sums two rounded products per entry
+            ladder = 0.5 * (m.k - 1) - np.arange(m.k)
+            assert np.array_equal(expect, (2.0 * m.slope) * np.diag(ladder))
+            assert np.abs(got - expect).max() <= 2 * np.spacing(np.abs(expect).max())
+        else:
+            assert np.array_equal(got, expect), name
+
+
+@pytest.mark.parametrize("family, params", [
+    ("lz2", dict(delta=0.6, slope=1.0)),
+    ("bowtie3", dict(delta=0.6, slope=1.0, eps=0.9)),
+    ("bowtieN", dict(delta=[0.2, 0.3], slope=[0.5, -1.5], eps=0.9)),
+])
+def test_base_models_have_no_base(family, params):
+    m = build_model(family, **params)
+    assert (m.rep, m.base) == (None, None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, params", [
+    ("lz2", dict(delta=1e308, slope=1.0)),
+    ("spin", dict(k=4, delta=0.3, slope=1e308)),
+    ("bowtie3", dict(delta=0.3, slope=1e-320, eps=1.0)),
+    ("su3six", dict(delta=1e200, slope=0.4, eps=1.0)),
+    ("bowtieN", dict(delta=[1e200, 0.3], slope=[0.5, -1.5], eps=0.9)),
+])
+def test_overflowing_coefficients_are_refused(family, params):
+    # no RuntimeWarning, no model with an infinite or NaN coefficient
+    with pytest.raises(ValueError, match=f"overflow the coefficients of '{family}'"):
+        build_model(family, **params)
 
 
 @pytest.mark.parametrize(

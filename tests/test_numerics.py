@@ -231,6 +231,18 @@ def test_step_cap_below_floor_raises():
         assert err.value.last_t == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e60, 1e120])
+def test_overflowing_pair_is_refused_by_name(scale):
+    # the basis grows like |A|^3 |B| and the cap quartic like its square:
+    # 1e60 overflows the quartic only, 1e120 the basis itself
+    a, b = scale * SIGMA1, 0.4 * SIGMA3
+    for pair in ((a, b), (np.stack((a, -a)), np.stack((b, b)))):
+        with pytest.raises(ValueError, match="overflow the Magnus basis") as err:
+            propagate_unitary(pair, -1.0, 1.0)
+        assert f"max|A| = {scale:.3e}, max|B| = 4.000e-01" in str(err.value)
+
+
 @pytest.mark.parametrize("t0, t1", [(-60.0, 60.0), (-20.0, 50.0), (40.0, -10.0)])
 def test_fold_matches_unfolded_halves(t0, t1):
     # an interval with 0 inside is folded into F(t1, 0) G(-t0, 0)^dag; the

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from brundobler_elser import extremal_survivals
+from lzscatter import oracle
 from lzscatter.laxflow import lz_closed_form
 from lzscatter.models import build_model
 from lzscatter.numerics import OdeSettings, propagate_unitary, unitarity_defect
@@ -100,6 +102,48 @@ def test_numeric_smatrix_nested_matches_independent_horizons():
     result = numeric_smatrix(m, t_final=t_final, settings=tight)
     assert np.abs(result.s_num - mats[2]).max() <= 1e-7
     assert abs(result.error_estimate - spread) <= 1e-7
+
+
+_LIFTED = [
+    ("spin", dict(k=3, delta=0.5, slope=1.0)),
+    ("spin", dict(k=5, delta=0.8, slope=1.0)),
+    ("spin", dict(k=8, delta=0.3, slope=0.7)),
+    ("adjoint3", dict(delta=0.4, slope=0.9)),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=1.0)),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=-1.0)),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=1.0)),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=-1.0)),
+]
+
+
+@pytest.mark.parametrize("family, kwargs", _LIFTED)
+def test_lifted_numeric_smatrix_matches_the_direct_fold(family, kwargs):
+    # the base's propagator through lift_unitary against the fold of the
+    # model's own k x k pair (the same model with its base dropped)
+    m = build_model(family, **kwargs)
+    tight = OdeSettings(rtol=1e-11, atol=1e-13)
+    lifted = numeric_smatrix(m, t_final=60.0, settings=tight)
+    direct = numeric_smatrix(dataclasses.replace(m, base=None), t_final=60.0, settings=tight)
+    assert np.abs(lifted.s_num - direct.s_num).max() <= 1e-9
+    assert abs(lifted.error_estimate - direct.error_estimate) <= 1e-9
+    assert lifted.unitarity_defect <= 1e-10
+
+
+def test_lifted_numeric_smatrix_propagates_only_the_base(monkeypatch):
+    shapes = []
+
+    def spy(pair, t0, t1, settings):
+        shapes.append(np.shape(pair[0]))
+        return propagate_unitary(pair, t0, t1, settings)
+
+    monkeypatch.setattr(oracle, "propagate_unitary", spy)
+    m = build_model("su3adj8", delta=0.2, slope=0.4, eps=1.0)
+    numeric_smatrix(m, t_final=10.0, settings=FAST)
+    assert shapes == [(2, 3, 3)] * 3
+    # a model without a base, such as a lift built by hand, runs on its own pair
+    shapes.clear()
+    numeric_smatrix(dataclasses.replace(m, base=None), t_final=10.0, settings=FAST)
+    assert shapes == [(2, 8, 8)] * 3
 
 
 @pytest.mark.parametrize("t_final", [0.0, -10.0, np.inf, np.nan])
