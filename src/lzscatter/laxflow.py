@@ -86,7 +86,11 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     by the same rotation R in every representation, so the Bloch vector is
     ``R v0`` and ``V(t1) = sum_a (R v0)_a G_a``.  The cost is one 2 x 2
     propagation at any k, and the spectrum of V is that of V(t0) to
-    roundoff.  A non-finite ``v0`` raises ``ValueError``.
+    roundoff.  A non-finite ``v0`` raises ``ValueError``, and so does a
+    model with no 2 x 2 pair to propagate: a lift of bowtie3, or a spin
+    model with k > 2 and no base (a copy made with ``dataclasses.replace``
+    that dropped it).  The base is trusted as given, so a copy that changes
+    ``a0`` or ``b`` must drop or rebuild it (``AffineModel.base``).
     """
     base = model.base or model
     if model.has_partner or base.k != 2:  # a lift of bowtie3, or a lift without its base

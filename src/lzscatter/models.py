@@ -48,6 +48,8 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import _expmi
+
 FAMILIES = ("lz2", "spin", "adjoint3", "bowtie3", "bowtieN", "su3six", "su3adj8")
 # the families with a flat-level splitting eps and a flow partner E
 PARTNERED_FAMILIES = ("bowtie3", "bowtieN", "su3six", "su3adj8")
@@ -130,48 +132,31 @@ def lift_unitary(u, rep):
     ``Pi(exp(-i x)) = exp(-i lift(x, rep))`` for Hermitian x,
     ``Pi(u w) = Pi(u) Pi(w)`` and ``Pi(u^dag) = Pi(u)^dag``, so the
     propagator of a lifted model is the image of its base's propagator.
-    With the isometry V of ``(n, rep)``, built once on first use:
-
-    - Sym^p: ``Pi(u) = V^dag (u (x) ... (x) u) V``, p factors, V mapping each
-      occupation state to its normalized symmetric tensor;
-    - adjoint: ``Pi(u) = V^dag (u (x) conj(u)) V``, V's columns the row-major
-      vectors of ``lift``'s root-adapted basis B, so that
-      ``Pi(u)_kl = tr(B_k^dag u B_l u^dag)``.
-
-    ``rep=None`` returns ``u``.
+    It is formed as that exponential, from a Hermitian logarithm x of u
+    and one ``eigh`` of the lifted ``lift(x, rep)``, at O(k^3) cost for a
+    k-dimensional image.  ``rep=None`` returns ``u``.
     """
     u = np.asarray(u)
     if rep is None:
         return u
-    v = _isometry(u.shape[-1], rep)
-    power = u
-    for factor in [u.conj()] if rep == "adjoint" else [u] * (rep[1] - 1):
-        power = _kron(power, factor)
-    return v.conj().T @ power @ v
+    return _expmi(lift(_unitary_log(u), rep))
 
 
-def _kron(x, y):
-    # np.kron of the last two axes, member by member over a stack
-    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    out = x[..., :, None, :, None] * y[..., None, :, None, :]
-    return out.reshape(*shape, x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1])
-
-
-@functools.lru_cache(maxsize=None)
-def _isometry(n, rep):
-    # V of lift_unitary: rows index the tensor-product basis (row-major),
-    # columns the basis of the representation in lift's order
-    if rep == "adjoint":
-        c = _adjoint_basis(n)
-        v = c.reshape(len(c), n * n).T
-    else:
-        # a 1 at every ordering of each state's levels
-        states = _sym_states(n, rep)
-        index = {state: col for col, state in enumerate(states)}
-        v = np.zeros((n ** rep[1], len(states)))
-        for row, levels in enumerate(itertools.product(range(n), repeat=rep[1])):
-            v[row, index[tuple(levels.count(i) for i in range(n))]] = 1.0
-    return _frozen(v / np.linalg.norm(v, axis=0))
+def _unitary_log(u):
+    # a Hermitian x with exp(-i x) = u.  The phase w = exp(i phi) moves the
+    # middle of the widest gap in u's spectrum to -1, so 1 + v, v = u / w, is
+    # well conditioned, and the Cayley transform h = i (1 + v)^-1 (1 - v) is
+    # Hermitian with eigenvalue -tan(alpha / 2) where v has exp(-i alpha);
+    # eigh gives it an orthonormal eigenbasis at any degeneracy
+    phases = np.sort(np.angle(np.linalg.eigvals(u)), axis=-1)
+    gaps = np.diff(phases, append=phases[..., :1] + 2.0 * np.pi, axis=-1)
+    widest = gaps.argmax(axis=-1)[..., None]
+    phi = np.take_along_axis(phases + 0.5 * gaps, widest, axis=-1) - np.pi
+    v = u * np.exp(-1j * phi)[..., None]
+    eye = np.eye(u.shape[-1])
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    w, q = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    return (q * (-2.0 * np.arctan(w) - phi)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def _sym_states(n, rep):

@@ -76,10 +76,11 @@ def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleRe
     propagates its base's pair instead, 2 x 2 for a lift of lz2 and 3 x 3
     for one of bowtie3, and reads ``U = Pi(F G^dag)`` with ``Pi`` the group
     representation ``models.lift_unitary``, whose derivative is the lift
-    that built the model's coefficients.  ``Pi`` is exact, so U is the
-    propagator of the model itself up to the base run's tolerance; the
-    step control and the error estimate see the base.  A model without a
-    base, including one lifted by hand, propagates its own k x k pair.
+    that built the model's coefficients.  ``Pi`` adds only rounding, at
+    O(k^3) cost, so U is the propagator of the model itself up to the base
+    run's tolerance; the step control and the error estimate see the base.
+    The base is trusted as given.  A model without a base, including one
+    lifted by hand, propagates its own k x k pair.
     """
     t_final = _horizon(model, t_final)
     base, rep = (model, None) if model.base is None else (model.base, model.rep)

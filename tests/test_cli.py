@@ -118,6 +118,21 @@ def test_smatrix_algebraic_high_spin(tmp_path, capsys, k):
     assert np.abs(s[0] - row).max() < 1e-14
 
 
+@pytest.mark.parametrize("k", [32, 64])
+def test_smatrix_numeric_high_spin(tmp_path, capsys, k):
+    # the numeric route propagates 2 x 2 and lifts at O(k^3); its finite
+    # horizon T = 300 leaves an error of order 1e-3
+    code, out, _ = run(
+        capsys, "smatrix", "--family", "spin", "--k", str(k),
+        "--delta", "0.8", "--slope", "1", "--method", "numeric", "--T", "300",
+        "--ledger", str(tmp_path / "l.jsonl"),
+    )
+    assert code == 0
+    s = np.array(json.loads(out)["matrix"])
+    row = [first_row_element(k, 0.8, 1.0, j) for j in range(1, k + 1)]
+    assert np.abs(s[0] - row).max() < 5e-3
+
+
 def test_smatrix_algebraic_lz2_closed_form(tmp_path, capsys):
     code, out, _ = run(
         capsys, "smatrix", "--family", "lz2", "--delta", "0.7", "--slope", "1.3",

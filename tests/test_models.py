@@ -352,14 +352,20 @@ def test_lift_unitary_is_the_group_representation_of_lift(n, rep, seed):
     lx = lift(x, rep)
     expect = _expmi(lx)
     assert np.abs(lift_unitary(_expmi(x), rep) - expect).max() <= 1e-13 * max(1.0, np.abs(lx).max())
-    # a homomorphism that keeps the adjoint, unitary like u
+    # a homomorphism that keeps the adjoint, unitary like u; each image is
+    # an exponential formed by eigh, whose rounding grows with its dimension
     u, w = _random_unitary(rng, n), _random_unitary(rng, n)
     pu, pw = lift_unitary(u, rep), lift_unitary(w, rep)
-    assert np.abs(lift_unitary(u @ w, rep) - pu @ pw).max() <= 1e-13
-    assert np.abs(lift_unitary(u.conj().T, rep) - pu.conj().T).max() <= 1e-14
+    tol = 1e-14 * len(pu)
+    assert np.abs(lift_unitary(u @ w, rep) - pu @ pw).max() <= tol
+    assert np.abs(lift_unitary(u.conj().T, rep) - pu.conj().T).max() <= tol
     assert np.abs(pu.conj().T @ pu - np.eye(len(pu))).max() <= 1e-13
+    # Pi(u) moves lift's images as u moves the matrices, a check that does
+    # not pass through a logarithm: Pi(u) lift(x) Pi(u)^dag = lift(u x u^dag)
+    moved = lift(u @ x @ u.conj().T, rep)
+    assert np.abs(pu @ lx @ pu.conj().T - moved).max() <= tol * np.abs(lx).max()
     # a stack lifts member by member
-    assert np.abs(lift_unitary(np.stack([u, w]), rep) - np.stack([pu, pw])).max() <= 1e-14
+    assert np.abs(lift_unitary(np.stack([u, w]), rep) - np.stack([pu, pw])).max() <= tol
 
 
 def test_lift_unitary_rejects_unknown_representations():

@@ -105,25 +105,28 @@ def test_numeric_smatrix_nested_matches_independent_horizons():
 
 
 _LIFTED = [
-    ("spin", dict(k=3, delta=0.5, slope=1.0)),
-    ("spin", dict(k=5, delta=0.8, slope=1.0)),
-    ("spin", dict(k=8, delta=0.3, slope=0.7)),
-    ("adjoint3", dict(delta=0.4, slope=0.9)),
-    ("su3six", dict(delta=0.2, slope=0.4, eps=1.0)),
-    ("su3six", dict(delta=0.2, slope=0.4, eps=-1.0)),
-    ("su3adj8", dict(delta=0.2, slope=0.4, eps=1.0)),
-    ("su3adj8", dict(delta=0.2, slope=0.4, eps=-1.0)),
+    ("spin", dict(k=3, delta=0.5, slope=1.0), 60.0),
+    ("spin", dict(k=5, delta=0.8, slope=1.0), 60.0),
+    ("spin", dict(k=8, delta=0.3, slope=0.7), 60.0),
+    # the group lift costs O(k^3), so k = 32 is one 2 x 2 propagation; the
+    # short horizon keeps its direct 32 x 32 reference cheap
+    ("spin", dict(k=32, delta=0.5, slope=1.0), 5.0),
+    ("adjoint3", dict(delta=0.4, slope=0.9), 60.0),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=1.0), 60.0),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=-1.0), 60.0),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=1.0), 60.0),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=-1.0), 60.0),
 ]
 
 
-@pytest.mark.parametrize("family, kwargs", _LIFTED)
-def test_lifted_numeric_smatrix_matches_the_direct_fold(family, kwargs):
+@pytest.mark.parametrize("family, kwargs, t_final", _LIFTED)
+def test_lifted_numeric_smatrix_matches_the_direct_fold(family, kwargs, t_final):
     # the base's propagator through lift_unitary against the fold of the
     # model's own k x k pair (the same model with its base dropped)
     m = build_model(family, **kwargs)
     tight = OdeSettings(rtol=1e-11, atol=1e-13)
-    lifted = numeric_smatrix(m, t_final=60.0, settings=tight)
-    direct = numeric_smatrix(dataclasses.replace(m, base=None), t_final=60.0, settings=tight)
+    lifted = numeric_smatrix(m, t_final=t_final, settings=tight)
+    direct = numeric_smatrix(dataclasses.replace(m, base=None), t_final=t_final, settings=tight)
     assert np.abs(lifted.s_num - direct.s_num).max() <= 1e-9
     assert abs(lifted.error_estimate - direct.error_estimate) <= 1e-9
     assert lifted.unitarity_defect <= 1e-10
