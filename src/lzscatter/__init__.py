@@ -5,10 +5,8 @@ from .models import (
     AffineModel,
     MissingPartnerError,
     SingularPartnerError,
-    SpinRep,
     UnknownFamilyError,
     build_model,
-    build_spin_rep,
     lift,
     model_from_descriptor,
 )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -181,12 +182,14 @@ def compute_smatrix(model: AffineModel, method, args):
     only the models whose ``default_method`` it is."""
     if method == "numeric":
         settings = _settings(args)
+        horizon = args.T if args.T is not None else oracle.default_horizon(model)
+        if not math.isfinite(horizon) and args.T is None:
+            raise UsageError(f"delta {model.delta} and slope {model.slope} give no finite default horizon; pass --T")
         try:
-            result = oracle.numeric_smatrix(model, t_final=args.T, settings=settings)
+            result = oracle.numeric_smatrix(model, t_final=horizon, settings=settings)
         except IntegrationDivergedError as exc:
-            # the step control needs a step below its floor: this horizon and
-            # tolerance ask more than the route can serve, not a bug
-            horizon = args.T if args.T is not None else oracle.default_horizon(model)
+            # a step below the step control's floor, or a span that overflows the
+            # step generators: more than the route can serve, not a bug
             raise UsageError(f"the numeric route cannot meet --T {horizon:g} at --rtol {settings.rtol:g} "
                              f"({exc}); use a shorter --T or a looser --rtol") from None
         meta = {
@@ -281,19 +284,10 @@ def cmd_compare(args):
         error_estimate = max(error_estimate, meta.get("error_estimate", 0.0))
     tolerance = max(1e-2, 3.0 * error_estimate)
     pairs = []
-    all_pass = True
-    for a in range(len(methods)):
-        for b in range(a + 1, len(methods)):
-            deviation = float(np.abs(matrices[methods[a]] - matrices[methods[b]]).max())
-            ok = deviation <= tolerance
-            all_pass = all_pass and ok
-            pairs.append(
-                {
-                    "methods": [methods[a], methods[b]],
-                    "max_deviation": deviation,
-                    "pass": ok,
-                }
-            )
+    for a, b in itertools.combinations(methods, 2):
+        deviation = float(np.abs(matrices[a] - matrices[b]).max())
+        pairs.append({"methods": [a, b], "max_deviation": deviation, "pass": deviation <= tolerance})
+    all_pass = all(pair["pass"] for pair in pairs)
     out = {
         "family": model.family,
         "params": model.descriptor(),

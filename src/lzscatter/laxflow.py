@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import SU2, AffineModel, build_spin_rep, lift
+from .models import SU2, AffineModel, _spin_sym, lift, unlift
 from .numerics import propagate_unitary
 
 # entries this far below zero are roundoff and get clamped; anything
@@ -79,28 +79,25 @@ def evolve_lax(model: AffineModel, v0, t0: float, t1: float, settings=None):
     ``V(t1) = W_k V(t0) W_k^dag`` with ``i dW_k/dt = -H W_k``, and
     ``H = 2 (a t rho(Z_2) + delta rho(X_2))`` is the image of the same
     element of su(2) in every model, so ``W_k`` is the image of the 2 x 2
-    propagator W of the pair ``-(a0, b)`` of its base lz2 (``model.base``,
-    or the model itself when it has none).  Only W is propagated.
-    Conjugation by it rotates the spin generators,
-    ``W J_b W^dag = sum_a R_ab J_a`` with ``R_ab = 2 tr(J_a W J_b W^dag)``,
-    by the same rotation R in every representation, so the Bloch vector is
-    ``R v0`` and ``V(t1) = sum_a (R v0)_a G_a``.  The cost is one 2 x 2
-    propagation at any k, and the spectrum of V is that of V(t0) to
-    roundoff.  A non-finite ``v0`` raises ``ValueError``, and so does a
-    model with no 2 x 2 pair to propagate: a lift of bowtie3, or a spin
-    model with k > 2 and no base (a copy made with ``dataclasses.replace``
-    that dropped it).  The base is trusted as given, so a copy that changes
-    ``a0`` or ``b`` must drop or rebuild it (``AffineModel.base``).
+    propagator W of the preimage ``unlift(-(a0, b), model.rep)`` of the
+    model's own pair.  Only W is propagated.  Conjugation by W rotates the
+    spin generators, ``W J_b W^dag = sum_a R_ab J_a`` with
+    ``R_ab = 2 tr(J_a W J_b W^dag)``, by the same rotation R in every
+    representation, so the Bloch vector is ``R v0`` and
+    ``V(t1) = sum_a (R v0)_a G_a``.  The cost is one 2 x 2 propagation at
+    any k, and the spectrum of V is that of V(t0) to roundoff.  A
+    non-finite ``v0`` raises ``ValueError``, and so does a model whose pair
+    has no 2 x 2 preimage (a lift of bowtie3; a spin copy with ``rep=None``).
     """
-    base = model.base or model
-    if model.has_partner or base.k != 2:  # a lift of bowtie3, or a lift without its base
+    pair = unlift(-np.stack((model.a0, model.b)), model.rep)
+    if pair is None or pair.shape[-1] != 2:
         raise ValueError(f"evolve_lax needs a spin-family model, got {model.family!r}")
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (3,):
         raise ValueError("v0 must be three Bloch coefficients")
     if not np.isfinite(v0).all():
         raise ValueError(f"v0 must be finite, got {v0.tolist()}")
-    w = propagate_unitary((-base.a0, -base.b), t0, t1, settings)
+    w = propagate_unitary(tuple(pair), t0, t1, settings)
     rot = 2.0 * np.einsum("aij,bji->ab", SU2, w @ SU2 @ w.conj().T).real
     coeffs = rot @ v0
     return np.tensordot(coeffs, lift(SU2, model.rep), axes=1), BlochVector(*(float(c) for c in coeffs))
@@ -118,12 +115,12 @@ def smatrix_spin(k: int, delta: float, a: float) -> np.ndarray:
     ``S = |d^j(beta)|^2`` entrywise with ``cos(beta) = 2u - 1`` (module
     docstring); one rotation, so cost and roundoff stay flat in k.  Rows
     and columns are ordered by descending diabatic slope.  A k that is not
-    an integer >= 2 raises ``ValueError`` (``build_spin_rep``).
+    an integer >= 2 raises ``ValueError``.
     """
     beta = math.acos(2.0 * survival_weight(delta, a) - 1.0)
     # Y = R X R^dag with R diagonal, so |exp(-i beta Y)| = |exp(-i beta X)|;
     # a real eigh of X is more accurate than a complex eigh of Y
-    return rotation_probabilities(build_spin_rep(k).x.real, beta)
+    return rotation_probabilities(lift(SU2[0], _spin_sym(k)).real, beta)
 
 
 def rotation_probabilities(jx: np.ndarray, beta: float) -> np.ndarray:

@@ -20,9 +20,10 @@ no family carries hand-written evaluation or derivative code.
 Families
 --------
 Two base models and their images under a Lie-algebra representation
-(``lift``), which keeps every term of the zero-curvature residual.  A
-lifted model keeps its base model (``AffineModel.base``), and the group
-representation ``lift_unitary`` maps the base's propagator to its own:
+(``lift``), which keeps every term of the zero-curvature residual.
+``unlift`` recovers a lifted model's base pair from its own coefficients,
+and the group representation ``lift_unitary`` maps the base's propagator
+to the model's:
 
 lz2       base: two levels, H = 2 (a t Z_2 + delta X_2) in spin 1/2
 spin      Sym^(k-1)(lz2): H = 2 (a t Z_k + delta X_k), levels by
@@ -100,6 +101,36 @@ def lift(x, rep):
     # negative zeros is -0.0, and adding +0.0 keeps it out of the coefficients
     out = x.reshape(*x.shape[:-2], n * n) @ images.reshape(n * n, -1) + 0.0
     return out.reshape(*x.shape[:-2], *images.shape[2:])
+
+
+def unlift(x, rep):
+    """The preimage under ``lift`` of a k x k matrix, or of a stack of them.
+
+    Returns the n x n y (a stack for a stack) with ``lift(y, rep) = x``, one
+    matmul of x against the pseudo-inverse of the elementary images, or None
+    when no n >= 2 lifts to dimension k (``comb(n + p - 1, p)`` for
+    ``("sym", p)``, ``n^2 - 1`` for ``"adjoint"``) or ``lift(y, rep)`` misses
+    a member of x by more than 1e-12 of its largest entry.  The adjoint maps
+    the identity to zero, so its y is traceless, which moves a propagator of
+    y by a global phase only.  ``rep=None`` returns ``x``; a rep that ``lift``
+    refuses raises.
+    """
+    x = np.asarray(x)
+    if rep is None:
+        return x
+    k = x.shape[-1]
+    n = next(n for n in itertools.count(2) if _elementary_images(n, rep).shape[-1] >= k)
+    if _elementary_images(n, rep).shape[-1] != k:
+        return None
+    y = (x.reshape(*x.shape[:-2], k * k) @ _preimage_map(n, rep)).reshape(*x.shape[:-2], n, n)
+    miss = np.abs(lift(y, rep) - x).max(axis=(-2, -1))
+    return y if np.all(miss <= 1e-12 * np.abs(x).max(axis=(-2, -1))) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _preimage_map(n, rep):
+    # the (k^2, n^2) pseudo-inverse of the images as rows rho(E_ij), i.e. of lift
+    return _frozen(np.linalg.pinv(_elementary_images(n, rep).reshape(n * n, -1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,25 +228,6 @@ def _spin_sym(k):
 
 
 @dataclass(frozen=True)
-class SpinRep:
-    """Spin matrices (X, Y, Z) for dimension k, basis ordered by descending m."""
-
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-
-def build_spin_rep(k: int) -> SpinRep:
-    """The k-dimensional spin matrices, lifted from the spin-1/2 ones.
-
-    Basis index i holds m = (k-1)/2 - i, so Z = diag((k-1)/2, ..., -(k-1)/2).
-    """
-    x, y, z = lift(SU2, _spin_sym(k))
-    return SpinRep(k=k, x=x, y=y, z=z)
-
-
-@dataclass(frozen=True)
 class AffineModel:
     """One catalog instance as coefficient matrices.
 
@@ -239,11 +251,6 @@ class AffineModel:
     e1: Optional[np.ndarray] = None
     # the representation the family lifts its base model through (``lift``)
     rep: object = None
-    # the base model, lz2 or bowtie3, at the same parameters, whose
-    # coefficients ``rep`` lifts to these; None for a base model and for a
-    # model built by hand.  The numeric route propagates it in place of
-    # the model, so a copy with other a0, a1 or b must drop it
-    base: Optional["AffineModel"] = None
 
     @property
     def has_partner(self) -> bool:
@@ -316,20 +323,15 @@ def _build_sweep(delta, slope, family, rep):
     a = _require_positive("slope", _scalar("slope", slope))
     x, z = lift(SU2[[0, 2]], rep)
     k = len(x)
-    base = None if rep is None else _build_sweep(d, a, "lz2", None)
-    return AffineModel(family, k, d, a, None, 2.0 * d * x, np.zeros((k, k), dtype=complex), 2.0 * a * z,
-                       rep=rep, base=base)
+    return AffineModel(family, k, d, a, None, 2.0 * d * x, np.zeros((k, k), dtype=complex), 2.0 * a * z, rep=rep)
 
 
 def _build_bowtie3(delta, slope, eps, family, rep):
     # bowtieN with one sweeping level, under the scalar descriptor, or its lift
     d = _scalar("delta", delta)
     a = _require_positive("slope", _scalar("slope", slope))
-    e = _scalar("eps", eps)
-    c = _bowtie_coefficients(np.array([d]), np.array([a]))
-    base = None if rep is None else AffineModel("bowtie3", 3, d, a, e, *c)
-    c = lift(c, rep)
-    return AffineModel(family, len(c[0]), d, a, e, *c, rep=rep, base=base)
+    c = lift(_bowtie_coefficients(np.array([d]), np.array([a])), rep)
+    return AffineModel(family, len(c[0]), d, a, _scalar("eps", eps), *c, rep=rep)
 
 
 def bowtieN_lists(deltas, slopes):

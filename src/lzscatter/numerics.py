@@ -103,7 +103,7 @@ class NonHermitianError(ValueError):
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Adaptive stepping drove the step size below the underflow floor.
+    """Adaptive stepping drove the step below its floor, or the span overflows the step generators.
 
     ``last_t`` carries the last accepted time.
     """
@@ -146,12 +146,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def hermiticity_defect(m):
-    """Max absolute deviation of ``m`` from its own conjugate transpose."""
-    m = _as_complex_square(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def _require_hermitian(m, name="matrix", tol=1e-12):
     # eigh reads one triangle only, so a non-Hermitian input would be
     # silently replaced by a different, Hermitian matrix
@@ -159,7 +153,7 @@ def _require_hermitian(m, name="matrix", tol=1e-12):
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     scale = float(np.abs(m).max())
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > tol * max(scale, 1e-300):
         raise NonHermitianError(
             f"{name} is not Hermitian: max|M - M^dag| = {defect:.3e} "
@@ -303,11 +297,7 @@ def _step_generators(hfun, t0):
         t = np.asarray(t, dtype=float)
         h = np.asarray(h, dtype=float)
         half = 0.5 * h
-        step = np.stack((h, half, half))
-        mid = np.stack((t + half, t + 0.5 * half, t + 1.5 * half))
-        h5 = step ** 5 / 720.0
-        coef = np.stack((step, step * mid, step ** 3 / 12.0, 3.0 * h5, h5,
-                         2.0 * h5 * mid, h5 * mid * mid), axis=-1)
+        coef = _pair_coefficients(np.stack((h, half, half)), np.stack((t + half, t + 0.5 * half, t + 1.5 * half)))
         out = coef.reshape(-1, 7) @ basis_re
         return out.view(complex).reshape(coef.shape[:-1] + (m, n, n))
 
@@ -323,6 +313,13 @@ def _step_generators(hfun, t0):
         return _MAX_STEP_PHASE * ratio ** 0.25
 
     return n, generators, 6, max_step
+
+
+def _pair_coefficients(step, mid):
+    # the coefficients of the seven basis matrices in the generator of the
+    # step of length `step` around `mid`, stacked on a last axis
+    h5 = step ** 5 / 720.0
+    return np.stack((step, step * mid, step ** 3 / 12.0, 3.0 * h5, h5, 2.0 * h5 * mid, h5 * mid * mid), axis=-1)
 
 
 def _cap_quartic(last, c):
@@ -364,6 +361,17 @@ def _propagate(hfun, t0, t1, settings):
     # the adaptive loop over blocks of steps; (m, n, n), one propagator
     # per member
     n, generators, order, max_step = _step_generators(hfun, t0)
+    if not callable(hfun):
+        # a span whose generators could overflow is refused before any step:
+        # each coefficient grows with |h| and |t_m| (numpy floats, so a power
+        # overflows to inf), and |[X, Y]| <= 2 |X| |Y| bounds the basis rows by
+        # the Frobenius norms of A, B and C = [A, B]
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b, c = (np.linalg.norm(x) for x in (*hfun, _commutator(*hfun)))
+            rows = np.array([a, b, c, 2.0 * b * c, 4.0 * a * a * c, 4.0 * a * b * c, 4.0 * b * b * c])
+            worst = np.abs(_pair_coefficients(np.float64(abs(t1 - t0)), np.float64(max(abs(t0), abs(t1))))) @ rows
+        if not np.isfinite(worst):
+            raise IntegrationDivergedError(f"the span [{t0:g}, {t1:g}] overflows the Magnus step generators", t0)
     # Richardson: the two half steps carry 2^-order of the full step's error
     divisor = 2.0 ** order - 1.0
     exponent = 1.0 / (order + 1)
@@ -455,10 +463,10 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     result is unitary to roundoff regardless of tolerance; the tolerances
     control phase/transition accuracy only.  ``A`` and ``B`` (each member),
     or the callable's ``H(t0)``, are checked once per call by the
-    ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``, and
-    a proposed step or step cap below ``1e-7`` of the span raises
-    ``IntegrationDivergedError``, accepted or not, so a finite-time
-    singularity ends the run early.
+    ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``.  A
+    pair span that would overflow a step generator, and a proposed step or
+    step cap below ``1e-7`` of the span (accepted or not, so a finite-time
+    singularity ends the run early), raise ``IntegrationDivergedError``.
     """
     if settings is None:
         settings = OdeSettings()

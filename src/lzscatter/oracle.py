@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laxflow import clamp_probabilities
-from .models import AffineModel, lift_unitary
+from .models import AffineModel, lift_unitary, unlift
 from .numerics import propagate_unitary, unitarity_defect
 
 # entrywise spread across horizons beyond which a result is flagged
@@ -72,21 +72,20 @@ def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleRe
     spread above 0.1 flags the result as non-converged (it is still
     returned).
 
-    A lifted model (``model.base`` set: spin, adjoint3, su3six, su3adj8)
-    propagates its base's pair instead, 2 x 2 for a lift of lz2 and 3 x 3
-    for one of bowtie3, and reads ``U = Pi(F G^dag)`` with ``Pi`` the group
-    representation ``models.lift_unitary``, whose derivative is the lift
-    that built the model's coefficients.  ``Pi`` adds only rounding, at
-    O(k^3) cost, so U is the propagator of the model itself up to the base
-    run's tolerance; the step control and the error estimate see the base.
-    The base is trusted as given.  A model without a base, including one
-    lifted by hand, propagates its own k x k pair.
+    A lifted model (spin, adjoint3, su3six, su3adj8) propagates the base
+    pair of its own coefficients instead, ``unlift((A, B), model.rep)``,
+    2 x 2 for a lift of lz2 and 3 x 3 for one of bowtie3, and reads
+    ``U = Pi(F G^dag)`` with ``Pi = models.lift_unitary`` the group
+    representation whose derivative is the lift: the model's propagator up
+    to the base run's tolerance, which the step control and error estimate
+    see.  A model whose pair is not the image ``rep`` names propagates it.
     """
     t_final = _horizon(model, t_final)
-    base, rep = (model, None) if model.base is None else (model.base, model.rep)
-    a = base.a_of(model.eps)
-    mirrored = (np.stack((a, -a)), np.stack((base.b, base.b)))
-    f = g = np.eye(base.k, dtype=complex)
+    pair = np.stack((model.a_of(), model.b))
+    base = unlift(pair, model.rep)
+    (a, b), rep = (pair, None) if base is None else (base, model.rep)
+    mirrored = (np.stack((a, -a)), np.stack((b, b)))
+    f = g = np.eye(len(a), dtype=complex)
     mats = []
     defect = 0.0
     inner = 0.0

@@ -400,6 +400,25 @@ def test_crossings_eps_beyond_the_detour_exit_2_without_warning(tmp_path, capsys
     assert not ledger.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model_args, match", [
+    # the default horizon 300 delta^2 / slope overflows
+    (("--family", "lz2", "--delta", "1e160", "--slope", "1"), "delta 1e+160 and slope 1.0 give no finite default horizon"),
+    # a finite default horizon, 2.7e301, whose step generators overflow
+    (("--family", "bowtie3", "--delta", "0.3", "--slope", "1e-300", "--eps", "1"), "cannot meet --T 2.7e+301"),
+    (("--family", "lz2", "--delta", "0", "--slope", "1", "--T", "1e60"), "cannot meet --T 1e+60"),
+])
+def test_numeric_horizon_beyond_float_range_exit_2(tmp_path, capsys, model_args, match):
+    # refused by name before any step: with RuntimeWarning an error, a
+    # warning on the way would make this exit 3
+    ledger = tmp_path / "l.jsonl"
+    code, out, err = run(capsys, "smatrix", *model_args, "--method", "numeric", "--ledger", str(ledger))
+    assert code == 2
+    assert match in err and "--T" in err
+    assert out == ""
+    assert not ledger.exists()
+
+
 @pytest.mark.parametrize("route_args, match", [
     (("--T", "1e12"), "cannot meet --T 1e+12 at --rtol 1e-08"),
     (("--rtol", "1e-20"), "cannot meet --T 300 at --rtol 1e-20"),

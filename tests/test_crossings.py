@@ -25,7 +25,7 @@ from lzscatter.crossings import (
 )
 from lzscatter.crossings import UnsupportedCrossingError
 from lzscatter.laxflow import smatrix_spin, stochastic_defect
-from lzscatter.models import MissingPartnerError, SingularPartnerError, build_model, build_spin_rep, lift
+from lzscatter.models import SU2, MissingPartnerError, SingularPartnerError, build_model, lift
 from lzscatter.numerics import OdeSettings, propagate_unitary
 from lzscatter.oracle import numeric_smatrix, propagate
 from lzscatter.zerocurv import verify_pair
@@ -578,7 +578,7 @@ def _spin_block(two_j, mid, spacing, c, seed, dark):
     k = two_j + 1
     m = two_j / 2 - np.arange(k)
     phases = np.exp(2j * np.pi * rng.uniform(size=k))
-    g = c * phases[:, None] * build_spin_rep(k).x * phases.conj()
+    g = c * phases[:, None] * lift(SU2[0], ("sym", k - 1)) * phases.conj()
     slopes = mid + spacing * m
     # u = exp(-pi c^2 / (2 spacing)) = exp(-pi delta^2 / a) at delta = c, a = 2 spacing
     expected = smatrix_spin(k, c, 2.0 * spacing)

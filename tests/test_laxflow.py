@@ -16,7 +16,7 @@ from lzscatter.laxflow import (
     stochastic_defect,
     survival_weight,
 )
-from lzscatter.models import build_model, build_spin_rep
+from lzscatter.models import SU2, build_model, lift
 from lzscatter.numerics import OdeSettings, hermitian_eigs, propagate_unitary
 
 LN2_OVER_PI = math.log(2.0) / math.pi
@@ -72,10 +72,10 @@ def projector_smatrix(k, delta, a):
     """S[i, j] = tr(P_V[i] P_-Z[j]) for the asymptotic flow V = v1 X + v3 Z."""
     v3 = asymptotic_v3(delta, a)
     v1 = math.sqrt(max(0.0, 1.0 - v3 * v3))
-    rep = build_spin_rep(k)
+    x, _, z = lift(SU2, ("sym", k - 1))
     ladder = spin_ladder(k)
-    proj_v = [lagrange_projector(v1 * rep.x + v3 * rep.z, ladder, i) for i in range(k)]
-    proj_z = [lagrange_projector(-rep.z, ladder, i) for i in range(k)]
+    proj_v = [lagrange_projector(v1 * x + v3 * z, ladder, i) for i in range(k)]
+    proj_z = [lagrange_projector(-z, ladder, i) for i in range(k)]
     return np.array([[np.trace(pv @ pz).real for pz in proj_z] for pv in proj_v])
 
 
@@ -87,9 +87,8 @@ def test_projector_diagonal_cases():
 
 
 def test_projector_rank_one_spin_half():
-    rep = build_spin_rep(2)
     v = np.array([0.6, 0.0, 0.8])
-    vmat = v[0] * rep.x + v[1] * rep.y + v[2] * rep.z
+    vmat = np.tensordot(v, SU2, axes=1)
     p_plus = lagrange_projector(vmat, [-0.5, 0.5], 1)
     expect = 0.5 * np.eye(2) + vmat
     assert np.abs(p_plus - expect).max() < 1e-14
@@ -97,10 +96,9 @@ def test_projector_rank_one_spin_half():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_projector_idempotent_and_complete(k):
-    rep = build_spin_rep(k)
     v = np.array([0.48, -0.36, 0.8])
     v = v / np.linalg.norm(v)
-    vmat = v[0] * rep.x + v[1] * rep.y + v[2] * rep.z
+    vmat = np.tensordot(v, lift(SU2, ("sym", k - 1)), axes=1)
     ladder = spin_ladder(k)
     total = np.zeros((k, k), dtype=complex)
     for i in range(k):
@@ -233,8 +231,8 @@ def test_evolve_lax_commuting_generator():
     m = build_model("spin", k=3, delta=0.0, slope=1.0)
     v_mat, bloch = evolve_lax(m, (0.0, 0.0, 1.0), -30.0, 30.0,
                               OdeSettings(rtol=1e-9, atol=1e-11))
-    rep = build_spin_rep(3)
-    assert np.abs(v_mat - rep.z).max() < 1e-10
+    z = lift(SU2[2], ("sym", 2))
+    assert np.abs(v_mat - z).max() < 1e-10
     assert bloch.v3 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -262,7 +260,7 @@ def test_evolve_lax_permuted_basis_family():
     v_mat, bloch = evolve_lax(m, (0.0, 0.0, 1.0), -20.0, 20.0,
                               OdeSettings(rtol=1e-9, atol=1e-11))
     p = [0, 2, 1]  # Ad(lz2) has the spin-1 levels in the order m = +1, -1, 0
-    z_perm = build_spin_rep(3).z[np.ix_(p, p)]
+    z_perm = lift(SU2[2], ("sym", 2))[np.ix_(p, p)]
     assert np.abs(v_mat - z_perm).max() < 1e-10
     assert bloch.v3 == pytest.approx(1.0, abs=1e-10)
 
@@ -278,9 +276,8 @@ def test_evolve_lax_lift_matches_the_direct_propagation(family, k):
     # the route evolve_lax does not take: the full k x k propagator of -H
     m = build_model(family, k=k, delta=0.7, slope=1.3)
     settings_ = OdeSettings(rtol=1e-9, atol=1e-11)
-    rep = build_spin_rep(m.k)
     p = [0, 2, 1] if family == "adjoint3" else list(range(m.k))  # Ad(lz2) levels m = +1, -1, 0
-    gens = [g[np.ix_(p, p)] for g in (rep.x, rep.y, rep.z)]
+    gens = [g[np.ix_(p, p)] for g in lift(SU2, ("sym", m.k - 1))]
     w = propagate_unitary((-m.a_of(), -m.b), -40.0, 25.0, settings_)
     rng = np.random.default_rng(m.k)
     for _ in range(3):
@@ -293,11 +290,20 @@ def test_evolve_lax_lift_matches_the_direct_propagation(family, k):
 
 
 def test_evolve_lax_rejects_a_spin_lift_without_its_base():
-    # only the 2 x 2 base pair is propagated; a k x k model with no base
-    # has none to give
-    m = dataclasses.replace(build_model("spin", k=4, delta=0.5, slope=1.0), base=None)
+    # the 2 x 2 pair is unlifted from the model's own coefficients: a copy
+    # with other ones is served with its own pair, a copy that names no
+    # representation has no 2 x 2 pair to give
+    m = build_model("spin", k=4, delta=0.5, slope=1.0)
+    scaled = dataclasses.replace(m, a0=2.0 * m.a0)
+    settings_ = OdeSettings(rtol=1e-9, atol=1e-11)
+    v0 = np.array([0.3, -0.4, 0.8])
+    gens = lift(SU2, ("sym", 3))
+    w = propagate_unitary((-scaled.a0, -scaled.b), -20.0, 15.0, settings_)
+    direct = w @ np.tensordot(v0, gens, axes=1) @ w.conj().T
+    v_mat, _ = evolve_lax(scaled, v0, -20.0, 15.0, settings_)
+    assert np.abs(v_mat - direct).max() <= 1e-7
     with pytest.raises(ValueError, match="spin-family"):
-        evolve_lax(m, (0, 0, 1), -1.0, 1.0)
+        evolve_lax(dataclasses.replace(m, rep=None), (0, 0, 1), -1.0, 1.0)
 
 
 @pytest.mark.parametrize("bad", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0), (0.0, 0.0, -np.inf)])

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lzscatter.laxflow import smatrix_spin
 from lzscatter.models import (
+    SU2,
     MissingPartnerError,
     SingularPartnerError,
     UnknownFamilyError,
     build_model,
-    build_spin_rep,
     lift,
     lift_unitary,
     model_from_descriptor,
+    unlift,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -26,33 +28,33 @@ SQ32 = math.sqrt(1.5)
 
 
 def test_spin_rep_k2_is_half_pauli():
-    rep = build_spin_rep(2)
-    assert np.allclose(rep.x, np.array([[0, 0.5], [0.5, 0]]))
-    assert np.allclose(rep.z, np.diag([0.5, -0.5]))
+    x, _, z = lift(SU2, ("sym", 1))
+    assert np.allclose(x, np.array([[0, 0.5], [0.5, 0]]))
+    assert np.allclose(z, np.diag([0.5, -0.5]))
 
 
 def test_spin_rep_k3_offdiagonals():
-    rep = build_spin_rep(3)
-    assert np.allclose(np.diag(rep.x, 1).real, [1 / SQ2, 1 / SQ2])
-    assert np.allclose(np.diag(rep.z), [1.0, 0.0, -1.0])
+    x, _, z = lift(SU2, ("sym", 2))
+    assert np.allclose(np.diag(x, 1).real, [1 / SQ2, 1 / SQ2])
+    assert np.allclose(np.diag(z), [1.0, 0.0, -1.0])
 
 
 def test_spin_rep_k4_central_amplitude():
     # raising amplitude into m = 1/2 equals 2, giving the unit X entry
-    rep = build_spin_rep(4)
-    assert np.allclose(np.diag(rep.x, 1).real, [SQ3 / 2, 1.0, SQ3 / 2])
+    x, _, _ = lift(SU2, ("sym", 3))
+    assert np.allclose(np.diag(x, 1).real, [SQ3 / 2, 1.0, SQ3 / 2])
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_spin_rep_algebra(k):
-    rep = build_spin_rep(k)
-    for a, b, c in ((rep.x, rep.y, rep.z), (rep.y, rep.z, rep.x), (rep.z, rep.x, rep.y)):
+    x, y, z = lift(SU2, ("sym", k - 1))
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         assert np.abs(a @ b - b @ a - 1j * c).max() < 1e-13
 
 
 def test_spin_rep_rejects_k1():
     with pytest.raises(ValueError):
-        build_spin_rep(1)
+        lift(SU2, ("sym", 0))
 
 
 def test_lz2_matches_two_level_form():
@@ -101,10 +103,10 @@ def test_adjoint3_matrix_and_permutation():
     assert np.abs(m.hamiltonian(t) - expect).max() < 1e-14
     # Ad(lz2) is the spin-1 sweep with its levels in the order (m = +1, -1, 0)
     p = [0, 2, 1]
-    rep = build_spin_rep(3)
+    x, _, z = lift(SU2, ("sym", 2))
     assert m.rep == "adjoint"
-    assert np.array_equal(m.a0, 2 * d * rep.x[np.ix_(p, p)])
-    assert np.array_equal(m.b, 2 * a * rep.z[np.ix_(p, p)])
+    assert np.array_equal(m.a0, 2 * d * x[np.ix_(p, p)])
+    assert np.array_equal(m.b, 2 * a * z[np.ix_(p, p)])
 
 
 def test_bowtie3_entries():
@@ -394,17 +396,15 @@ _COEFFICIENTS = ("a0", "a1", "b", "e_inv", "e_0", "e_eps", "e1")
 ])
 def test_lifted_model_is_the_lift_of_its_base(family, params):
     m = build_model(family, **params)
-    base = m.base
-    base_params = {key: value for key, value in params.items() if key != "k"}
     # the base is the catalog's own lz2 or bowtie3 at the same parameters
-    catalog = build_model("bowtie3" if m.has_partner else "lz2", **base_params)
-    assert (base.family, base.k, base.eps, base.rep, base.base) == (catalog.family, catalog.k, catalog.eps, None, None)
+    base_params = {key: value for key, value in params.items() if key != "k"}
+    base = build_model("bowtie3" if m.has_partner else "lz2", **base_params)
     names = [name for name in _COEFFICIENTS if getattr(m, name) is not None]
-    assert all(np.array_equal(getattr(base, name), getattr(catalog, name)) for name in names)
+    coefficients = np.stack([getattr(m, name) for name in names])
+    base_coefficients = np.stack([getattr(base, name) for name in names])
     # equal to the last bit (array_equal: a zero's sign aside, as 2 delta X
     # gives -0.0 at delta < 0 where lift adds +0.0)
-    for name, got in zip(names, lift(np.stack([getattr(base, name) for name in names]), m.rep)):
-        expect = getattr(m, name)
+    for name, got, expect in zip(names, lift(base_coefficients, m.rep), coefficients):
         if family == "spin" and name == "b":
             # the spin slopes are the ladder 2 a m rounded once per entry; the
             # lift of diag(a, -a) sums two rounded products per entry
@@ -413,6 +413,15 @@ def test_lifted_model_is_the_lift_of_its_base(family, params):
             assert np.abs(got - expect).max() <= 2 * np.spacing(np.abs(expect).max())
         else:
             assert np.array_equal(got, expect), name
+    # and unlift takes the model's own coefficients back to the base's, the
+    # adjoint (which maps the identity to zero) to their traceless part
+    if m.rep == "adjoint":
+        n = base.k
+        base_coefficients = base_coefficients - np.einsum("kii->k", base_coefficients)[:, None, None] * np.eye(n) / n
+    got = unlift(coefficients, m.rep)
+    assert got.shape == base_coefficients.shape
+    scale = np.abs(base_coefficients).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(got - base_coefficients) <= 4e-15 * scale).all()
 
 
 @pytest.mark.parametrize("family, params", [
@@ -421,8 +430,48 @@ def test_lifted_model_is_the_lift_of_its_base(family, params):
     ("bowtieN", dict(delta=[0.2, 0.3], slope=[0.5, -1.5], eps=0.9)),
 ])
 def test_base_models_have_no_base(family, params):
+    # a base model names no representation, and unlift hands its pair back
+    # as it is: the numeric and Lax routes propagate the model itself
     m = build_model(family, **params)
-    assert (m.rep, m.base) == (None, None)
+    pair = np.stack((m.a0, m.b))
+    assert m.rep is None
+    assert unlift(pair, m.rep) is pair
+
+
+_UNLIFT_CASES = [(n, ("sym", p)) for n in (2, 3) for p in range(1, 5)] + [(2, "adjoint"), (3, "adjoint")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_UNLIFT_CASES), seed=st.integers(0, 2 ** 32 - 1))
+def test_unlift_inverts_lift(case, seed):
+    n, rep = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    lx = lift(x, rep)
+    y = unlift(lx, rep)
+    assert y.shape == x.shape
+    scale = np.abs(lx).max()
+    assert np.abs(lift(y, rep) - lx).max() <= 1e-13 * scale
+    # x itself, or for the adjoint (whose kernel is the identity) its traceless part
+    if rep == "adjoint":
+        x = x - np.einsum("kii->k", x)[:, None, None] * np.eye(n) / n
+    assert np.abs(y - x).max() <= 1e-13 * np.abs(x).max()
+    # a member unlifts as it does alone
+    assert np.abs(unlift(lx[0], rep) - y[0]).max() <= 1e-14 * scale
+    # a matrix off the image is refused, alone or as one member of a stack
+    # (Sym^1 is the identity, whose image is every matrix)
+    if rep != ("sym", 1):
+        off = lx[1] + 1e-6 * scale * rng.normal(size=lx[1].shape)
+        assert unlift(off, rep) is None
+        assert unlift(np.stack((lx[0], off)), rep) is None
+
+
+def test_unlift_refuses_a_dimension_no_base_lifts_to():
+    # Sym^2 of n levels has n (n + 1) / 2 of them, the adjoint n^2 - 1
+    assert unlift(np.eye(5), ("sym", 2)) is None
+    assert unlift(np.eye(5), "adjoint") is None
+    with pytest.raises(ValueError, match="unknown representation"):
+        unlift(np.eye(3), ("sym", 0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -494,7 +543,7 @@ def test_spin_k_must_be_an_integer_of_at_least_two(k):
     with pytest.raises(ValueError, match=rf"k = {re.escape(repr(k))}"):
         model_from_descriptor({"family": "spin", "k": k, "delta": 0.3, "slope": 1.0})
     with pytest.raises(ValueError, match="integer k >= 2"):
-        build_spin_rep(k)
+        smatrix_spin(k, 0.3, 1.0)
 
 
 @pytest.mark.parametrize("family, params, match", [

@@ -122,11 +122,11 @@ _LIFTED = [
 @pytest.mark.parametrize("family, kwargs, t_final", _LIFTED)
 def test_lifted_numeric_smatrix_matches_the_direct_fold(family, kwargs, t_final):
     # the base's propagator through lift_unitary against the fold of the
-    # model's own k x k pair (the same model with its base dropped)
+    # model's own k x k pair (the same model naming no representation)
     m = build_model(family, **kwargs)
     tight = OdeSettings(rtol=1e-11, atol=1e-13)
     lifted = numeric_smatrix(m, t_final=t_final, settings=tight)
-    direct = numeric_smatrix(dataclasses.replace(m, base=None), t_final=t_final, settings=tight)
+    direct = numeric_smatrix(dataclasses.replace(m, rep=None), t_final=t_final, settings=tight)
     assert np.abs(lifted.s_num - direct.s_num).max() <= 1e-9
     assert abs(lifted.error_estimate - direct.error_estimate) <= 1e-9
     assert lifted.unitarity_defect <= 1e-10
@@ -143,10 +143,40 @@ def test_lifted_numeric_smatrix_propagates_only_the_base(monkeypatch):
     m = build_model("su3adj8", delta=0.2, slope=0.4, eps=1.0)
     numeric_smatrix(m, t_final=10.0, settings=FAST)
     assert shapes == [(2, 3, 3)] * 3
-    # a model without a base, such as a lift built by hand, runs on its own pair
+    # a model that names no representation runs on its own pair
     shapes.clear()
-    numeric_smatrix(dataclasses.replace(m, base=None), t_final=10.0, settings=FAST)
+    numeric_smatrix(dataclasses.replace(m, rep=None), t_final=10.0, settings=FAST)
     assert shapes == [(2, 8, 8)] * 3
+
+
+def test_lifted_numeric_smatrix_follows_a_copy_with_other_coefficients():
+    # the base pair is unlifted from the copy's own coefficients, not kept
+    # from the model it was copied from (whose S is 0.98 away)
+    m = build_model("su3six", delta=0.2, slope=0.4, eps=1.0)
+    scaled = dataclasses.replace(m, a0=3.0 * m.a0)
+    tight = OdeSettings(rtol=1e-11, atol=1e-13)
+    lifted = numeric_smatrix(scaled, t_final=50.0, settings=tight)
+    direct = numeric_smatrix(dataclasses.replace(scaled, rep=None), t_final=50.0, settings=tight)
+    assert np.abs(lifted.s_num - direct.s_num).max() <= 1e-9
+    assert np.abs(lifted.s_num - numeric_smatrix(m, t_final=50.0, settings=tight).s_num).max() > 0.1
+
+
+def test_off_image_copy_runs_its_own_pair(monkeypatch):
+    shapes = []
+
+    def spy(pair, t0, t1, settings):
+        shapes.append(np.shape(pair[0]))
+        return propagate_unitary(pair, t0, t1, settings)
+
+    monkeypatch.setattr(oracle, "propagate_unitary", spy)
+    m = build_model("su3six", delta=0.2, slope=0.4, eps=1.0)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    perturbed = dataclasses.replace(m, a0=m.a0 + 1e-3 * (x + x.conj().T))
+    result = numeric_smatrix(perturbed, t_final=10.0, settings=FAST)
+    assert shapes == [(2, 6, 6)] * 3
+    direct = numeric_smatrix(dataclasses.replace(perturbed, rep=None), t_final=10.0, settings=FAST)
+    assert np.array_equal(result.s_num, direct.s_num)
 
 
 @pytest.mark.parametrize("t_final", [0.0, -10.0, np.inf, np.nan])
