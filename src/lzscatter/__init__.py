@@ -34,6 +34,7 @@ from .crossings import (
     UnsupportedCrossingError,
     compose,
     derive_schedule_generic,
+    lifted_smatrix,
     local_smatrix,
     path_counts,
     schedule_bowtie3,

@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands build catalog models, compute scattering matrices by the
-algebraic, crossing-schedule and numerical routes, compare the routes,
-emit adiabatic spectra and parameter sweeps as CSV, verify the
-zero-curvature residual of partnered families, and append one record per
-successful invocation to a JSON-lines run ledger.
+exact and numerical routes, compare the routes, emit adiabatic spectra and
+parameter sweeps as CSV, verify the zero-curvature residual of partnered
+families, and append one record per successful invocation to a JSON-lines
+run ledger.  Both exact routes (``algebraic`` for the lifts of lz2,
+``crossings`` for those of the bow tie) are ``crossings.lifted_smatrix``.
 
 Exit codes: 0 success, 1 validation failure (an invariant or comparison
 did not hold, including a computed probability below the clamp floor and
-a crossings schedule with more than one event path between two levels),
-2 input error (including a ``--T`` or ``--rtol`` the numeric route cannot
-meet), 3 internal error (an unexpected exception,
-reported as ``internal error: <Class>: <message>``).
+an exact matrix with more than one event path between two levels), 2 input
+error (including a ``--T`` or ``--rtol`` the numeric route cannot meet),
+3 internal error (an unexpected exception, reported as
+``internal error: <Class>: <message>``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import crossings, laxflow, models, oracle, zerocurv
+from . import crossings, laxflow, oracle, zerocurv
 from .laxflow import NegativeProbabilityError
 from .models import (
     FAMILIES,
@@ -155,26 +156,8 @@ def _append_record(args, descriptor, method, digest, error_estimate, passed):
 
 
 def default_method(model: AffineModel):
-    # every catalog model lifts lz2 or bowtie3: a lift of bowtie3 carries its
-    # flow partner and takes the crossings route, a lift of lz2 the algebraic one
+    # a lift of the bow tie carries its flow partner, a lift of lz2 none
     return "crossings" if model.has_partner else "algebraic"
-
-
-def _algebraic_smatrix(model: AffineModel):
-    # one rotation exp(-i beta J_x) in the model's own lift of J_x (laxflow)
-    beta = math.acos(2.0 * laxflow.survival_weight(model.delta, model.slope) - 1.0)
-    jx = np.real_if_close(models.lift(models.SU2[0], model.rep))
-    return laxflow.rotation_probabilities(jx, beta)
-
-
-def _crossings_schedule(model: AffineModel):
-    if model.family == "bowtie3":
-        return crossings.schedule_bowtie3(model.delta, model.slope, model.eps)
-    if model.family == "bowtieN" and model.eps > 0:
-        return crossings.schedule_bowtieN(model.delta, model.slope, model.eps)
-    if model.family == "su3six" and model.eps > 0:
-        return crossings.schedule_su3six(model.delta, model.slope, model.eps)
-    return crossings.derive_schedule_generic(model)
 
 
 def compute_smatrix(model: AffineModel, method, args):
@@ -201,12 +184,9 @@ def compute_smatrix(model: AffineModel, method, args):
         return result.s_num, meta
     if method != default_method(model):
         raise UsageError(f"method {method} unsupported for family {model.family!r}")
-    if method == "algebraic":
-        return _algebraic_smatrix(model), {}
-    schedule = _crossings_schedule(model)
-    matrix = crossings.compose(schedule, model.k)
-    _check_single_paths(crossings.path_counts(schedule, model.k))
-    return matrix, {"events": len(schedule)}
+    matrix, counts, events = crossings.lifted_smatrix(model)
+    _check_single_paths(counts)
+    return matrix, ({"events": events} if method == "crossings" else {})
 
 
 def _check_stochastic(matrix):

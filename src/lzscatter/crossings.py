@@ -3,37 +3,35 @@
 With a valid flow partner E, the sweep can be rerouted through a
 three-segment rectangular detour in the (t, eps) plane whose corners sit
 at |t| = R with R formally infinite.  Along the detour every level
-crossing is localized, so the full scattering matrix factorizes into a
-product of elementary blocks: latest crossing leftmost, matching the
-composition of probability flows ``S[i, j] = P(j -> i)``.  That product
-is exact only where every pair of levels is joined by at most one path
-of events (``path_counts``).
+crossing is localized and no relative phase survives between crossings,
+so S factorizes into elementary blocks, latest crossing leftmost
+(``S[i, j] = P(j -> i)``), exactly where every pair of levels is joined
+by at most one path of events (``path_counts``).
 
-No relative phases survive between crossings separated by path length of
-order R.  Each localized crossing is one su(2) rotation, Majorana's
-solution of the spin family applied locally: near the crossing its
-coupled levels see ``tau diag(s) + G``, and with ``J_z`` the slopes about
-their midpoint in units of their common spacing and ``c J_x = G`` the
-block is an su(2) image exactly when ``[J_x, J_y] = i J_z`` for
-``J_y = -i [J_z, J_x]``.  Its transition probabilities are then
-``|exp(-i beta J_x)|^2`` with ``cos(beta) = 2u - 1`` and
-``u = exp(-pi c^2 / (2 spacing))``: the two-level crossing is spin 1/2,
-a sloped pair meeting a flat level midway is spin 1, and levels that
-share a slope (a degenerate flat pair) need no special case, since the
-rotation mixes only the combination that ``G`` couples and leaves the
-orthogonal "dark" one in place.  For the shipped families the dark state
-stays diagonal in every such event's eigenframe, which keeps the plain
-probability product exact; the oracle validates this.
+Each block is one su(2) rotation ``|exp(-i beta J_x)|^2``, Majorana's
+solution applied locally.  Near the crossing its coupled levels see
+``tau diag(s) + G``; with ``J_z`` the slopes about their midpoint in units
+of their common spacing and ``c J_x = G``, the block is an su(2) image
+exactly when ``[J_x, J_y] = i J_z`` for ``J_y = -i [J_z, J_x]``, and
+``cos(beta) = 2u - 1`` with ``u = exp(-pi c^2 / (2 spacing))``.  A pair is
+spin 1/2, a sloped pair meeting a flat level midway spin 1, and levels
+sharing a slope need no special case: the rotation leaves the "dark"
+combination that ``G`` does not couple in place (for the shipped families
+it stays diagonal in the event's eigenframe; the oracle validates this).
 
-``derive_schedule_generic`` samples each segment's diagonal, brackets
-every sign change of a level gap and refines it with ``brentq``.  One
-union-find (``_components``) then does all the grouping: crossings within
-``_CLUSTER_TOL`` of the segment length of one another that share a level
-form a cluster; the cluster takes along the degenerate companions of its
-levels; and the couplings of the path generator at the cluster split its
-levels into coupled components.  Each component is one su(2) event (or
-``UnsupportedCrossingError``); crossing pairs outside every component are
-trivial events.
+``lifted_smatrix``, the CLI's exact route, lifts the closed-form events of
+a catalog model's base (lz2's one crossing, ``schedule_bowtieN``) through
+the model's representation: the image of a rotation rotates about the
+image of ``J_x``.  ``derive_schedule_generic``, the tests' independent
+reference, finds the events of a partnered model on its own k x k detour
+at finite R: it brackets every sign change of a level gap in a sampled
+segment diagonal and refines it with ``brentq``.  One union-find
+(``_components``) groups crossings within ``_CLUSTER_TOL`` of the segment
+length of one another that share a level into a cluster, adds the
+degenerate companions of its levels and splits it by the couplings of the
+path generator into components, each one su(2) event (or
+``UnsupportedCrossingError``); crossing pairs outside every component
+are trivial events.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .laxflow import clamp_probabilities, rotation_probabilities
-from .models import AffineModel, SingularPartnerError, bowtieN_lists
+from .laxflow import clamp_probabilities, rotation_probabilities, survival_weight
+from .models import SU2, AffineModel, SingularPartnerError, bowtieN_lists, lift
 
 # samples per path segment used to bracket gap sign changes
 _SEGMENT_SAMPLES = 4096
@@ -277,25 +275,65 @@ def compose(schedule, k: int) -> np.ndarray:
 def path_counts(schedule, k: int) -> np.ndarray:
     """Number of event paths joining each (end, start) pair of levels.
 
-    The integer product of ``I + incidence`` over the non-trivial events,
-    latest leftmost, where an event's incidence joins every pair of its
-    levels (a dark level of the rotation too).  ``compose`` is exact only
-    where every entry is at most 1: with two paths the true
-    probability carries their interference, which a product of probability
-    blocks drops (same-sign ``bowtieN`` slopes).  Neither ``compose`` nor
-    ``derive_schedule_generic`` checks this, because the benchmark's
-    crossings workload composes same-sign ``bowtieN`` schedules and compares
-    the derived one with the hand-coded one; the CLI rejects them.
+    The integer product of ``I + incidence`` over the events, latest
+    leftmost, where an event joins every pair of levels that its ``J_x``
+    connects (a dark level of the rotation too, a trivial event none).
+    ``compose`` is exact only where every entry is at most 1: with two paths
+    the true probability carries their interference, which a product of
+    probability blocks drops (same-sign ``bowtieN`` slopes).  ``compose``
+    and ``derive_schedule_generic`` do not check this; the CLI refuses them.
     """
+    return _path_product([_embedded_jx(event, k) for event in schedule], k)
+
+
+def _embedded_jx(event: CrossingEvent, k: int) -> np.ndarray:
+    # the event's J_x as a k x k matrix, zero off its levels
+    jx = np.zeros((k, k), dtype=complex)
+    idx = [l - 1 for l in event.levels]
+    jx[np.ix_(idx, idx)] = event.jx
+    return jx
+
+
+def _coupled_components(j):
+    # the sets of two or more (0-based) levels that J's nonzero pattern connects
+    edges = zip(*np.nonzero(np.abs(j) > _COUPLING_TOL * np.abs(j).max(initial=0.0)))
+    return [c for c in _components(range(len(j)), edges) if len(c) > 1]
+
+
+def _path_product(blocks, k: int) -> np.ndarray:
+    # path_counts of k x k rotation generators J: each joins the levels it connects
     total = np.eye(k, dtype=np.int64)
-    for event in schedule:
-        if event.kind == "trivial":
-            continue
+    for j in blocks:
         step = np.eye(k, dtype=np.int64)
-        idx = [l - 1 for l in event.levels]
-        step[np.ix_(idx, idx)] = 1
+        for comp in _coupled_components(j):
+            step[np.ix_(comp, comp)] = 1
         total = step @ total
     return total
+
+
+def lifted_smatrix(model: AffineModel):
+    """Exact S of a catalog model from its base's closed-form crossing events.
+
+    lz2 has one event, ``J_x = X_2`` at its survival weight u, the bow tie
+    those of ``schedule_bowtieN``.  S is the product, latest leftmost, of the
+    rotations ``|exp(-i beta lift(J_x, model.rep))|^2``, ``cos(beta) = 2u - 1``.
+    Returns S (clamped as by ``compose``), the ``path_counts`` of the lifted
+    blocks and the number of base events.
+    """
+    if model.has_partner:
+        schedule = schedule_bowtieN(model.delta, model.slope, model.eps)
+        base = [(_embedded_jx(e, len(schedule) // 2 + 2), e.u_eff) for e in schedule]
+    else:
+        base = [(SU2[0], survival_weight(model.delta, model.slope))]
+    # real_if_close, not .real: the adjoint image of a real J_x is complex
+    blocks = [np.real_if_close(lift(jx, model.rep)) for jx, _ in base]
+    total = np.eye(model.k)
+    for j, (_, u) in zip(blocks, base):
+        step, beta = np.eye(model.k), math.acos(2.0 * u - 1.0)
+        for idx in _coupled_components(j):
+            step[np.ix_(idx, idx)] = rotation_probabilities(j[np.ix_(idx, idx)], beta)
+        total = step @ total
+    return clamp_probabilities(total), _path_product(blocks, model.k), len(base)
 
 
 def _pair_event(index, t_over_r, eps_over_r, level_pair, coupling, slope_eff):
@@ -305,55 +343,33 @@ def _pair_event(index, t_over_r, eps_over_r, level_pair, coupling, slope_eff):
 
 
 def schedule_bowtie3(delta: float, a: float, eps: float):
-    """Two crossings of the 3-level bow tie, ordered along the detour.
-
-    For eps > 0 the sweeping level meets level 2 first (at t = -R) and
-    level 1 second (at t = +R); for eps < 0 levels 1 and 2 swap roles.
-    eps = 0 has a singular partner and no schedule (the numerical engine
-    covers that case).
-    """
+    """The 3-level bow tie's two crossings: ``schedule_bowtieN`` with one sweeping level."""
     if not a > 0:
         raise ValueError(f"slope a must be positive, got {a}")
-    eps = float(eps)
-    if eps == 0.0:
-        raise SingularPartnerError("bowtie3 schedule undefined at eps = 0")
-    coupling = abs(float(delta)) / a
-    slope_eff = 0.5 / a
-    rail = math.copysign(a, eps)
-    if eps > 0:
-        pairs = [(2, 3), (1, 3)]
-    else:
-        pairs = [(1, 3), (2, 3)]
-    return [
-        _pair_event(1, -1.0, rail, pairs[0], coupling, slope_eff),
-        _pair_event(2, 1.0, rail, pairs[1], coupling, slope_eff),
-    ]
+    return schedule_bowtieN((delta,), (a,), eps)
 
 
 def schedule_bowtieN(deltas, slopes, eps: float):
-    """Crossing schedule of the k-level bow tie (eps > 0).
+    """Crossing schedule of the k-level bow tie.
 
-    First pass at t = -R in ascending |slope| order: sweeping level i+2
-    meets flat level 2 when its slope is positive, flat level 1 when
-    negative.  Second pass at t = +R in descending order with the flat
-    roles exchanged.
+    For eps > 0, first pass at t = -R in ascending |slope| order: sweeping
+    level i+2 meets flat level 2 when its slope is positive, flat level 1
+    when negative.  Second pass at t = +R in descending order with the flat
+    roles exchanged.  The model is symmetric under eps -> -eps and flat
+    levels 1 <-> 2, so eps < 0 swaps them in every event.  eps = 0, the
+    partner's pole, has no schedule (the numeric route covers it).
     """
     deltas, slopes = bowtieN_lists(deltas, slopes)
-    mags = [abs(s) for s in slopes]
-    if not float(eps) > 0.0:
-        raise ValueError("bowtieN schedule requires eps > 0")
+    if eps == 0.0:
+        raise SingularPartnerError("bowtie schedule undefined at eps = 0")
     events = []
-    for i, (d, s) in enumerate(zip(deltas, slopes)):
-        flat = 2 if s > 0 else 1
-        events.append(
-            _pair_event(len(events) + 1, -1.0, mags[i], (flat, i + 3), abs(d / s), 0.5 / mags[i])
-        )
-    for i in reversed(range(len(slopes))):
-        d, s = deltas[i], slopes[i]
-        flat = 1 if s > 0 else 2
-        events.append(
-            _pair_event(len(events) + 1, 1.0, mags[i], (flat, i + 3), abs(d / s), 0.5 / mags[i])
-        )
+    for t_over_r, passes in ((-1.0, range(len(slopes))), (1.0, reversed(range(len(slopes))))):
+        for i in passes:
+            # level 2 for a rising level, first pass, eps > 0; a sign flip swaps it
+            flat = 2 if (slopes[i] > 0) ^ (t_over_r > 0) ^ (eps < 0) else 1
+            mag = abs(slopes[i])
+            events.append(_pair_event(len(events) + 1, t_over_r, math.copysign(mag, eps),
+                                      (flat, i + 3), abs(deltas[i] / slopes[i]), 0.5 / mag))
     return events
 
 

@@ -129,8 +129,10 @@ def rotation_probabilities(jx: np.ndarray, beta: float) -> np.ndarray:
     One ``eigh`` of J, with its eigenvalues rounded to the half-integer
     ladder that J has in every representation of su(2), so the rotation
     phases are exact and only the eigenvectors carry roundoff; more
-    accurate than ``numerics._expmi``.  A zero J gives the identity exactly.
+    accurate than ``numerics._expmi``.  A zero J or beta gives I exactly.
     """
+    if beta == 0.0:
+        return np.eye(len(jx))
     w, vecs = np.linalg.eigh(jx)
     d = (vecs * np.exp(-1j * beta * (np.round(2.0 * w) / 2.0))) @ vecs.conj().T
     return np.abs(d) ** 2

@@ -227,6 +227,35 @@ def test_default_route_is_the_only_exact_route(tmp_path, capsys, family):
         assert len(ledger.read_text().splitlines()) == 2
 
 
+@pytest.mark.parametrize("eps", ["1", "-1"])
+@pytest.mark.parametrize("family", ["su3six", "su3adj8"])
+def test_lifted_crossings_route_matches_the_derived_schedule(tmp_path, capsys, family, eps):
+    # the route lifts bowtie3's two events through the model's representation;
+    # the schedule derived on the model's own k x k detour is an independent
+    # reference (an adjoint image taken as real was off by 0.998)
+    code, out, _ = run(capsys, "smatrix", f"--family={family}", "--delta=0.2", "--slope=0.4",
+                       f"--eps={eps}", "--ledger", str(tmp_path / "l.jsonl"))
+    assert code == 0
+    model = model_from_descriptor(json.loads(out)["params"])
+    derived = crossings.compose(crossings.derive_schedule_generic(model), model.k)
+    assert np.abs(np.array(json.loads(out)["matrix"]) - derived).max() <= 1e-14
+    assert json.loads(out)["events"] == 2
+
+
+def test_exact_routes_derive_no_schedule(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the CLI derived or composed a schedule")
+
+    monkeypatch.setattr(crossings, "derive_schedule_generic", unreachable)
+    monkeypatch.setattr(crossings, "compose", unreachable)
+    for family, (params, _route) in EXACT_ROUTES.items():
+        for sign in ("", "-"):  # both eps signs where the family has one
+            argv = [p.replace("--eps=1", f"--eps={sign}1") for p in params]
+            code, _, err = run(capsys, "smatrix", f"--family={family}", *argv,
+                               "--ledger", str(tmp_path / "l.jsonl"))
+            assert (code, err) == (0, ""), (family, argv)
+
+
 def test_compare_pass_and_corrupt(tmp_path, capsys, monkeypatch):
     base = [
         "compare", "--family", "spin", "--k", "2", "--delta", "0.8", "--slope", "1",
@@ -385,19 +414,21 @@ def test_ignored_model_argument_exit_2_writes_no_record(tmp_path, capsys, argv, 
 
 
 
-def test_crossings_eps_beyond_the_detour_exit_2_without_warning(tmp_path, capsys):
+def test_crossings_eps_beyond_the_detour_is_served_exactly_without_warning(tmp_path, capsys):
+    # the route builds no detour, so an eps past the one derive_schedule_generic
+    # holds (test_crossings.test_detour_refuses_eps_beyond_its_float_range)
+    # gives the matrix of any other eps of the same sign
     ledger = tmp_path / "l.jsonl"
+    argv = ["smatrix", "--family", "su3adj8", "--delta", "0.2", "--slope", "0.4",
+            "--method", "crossings", "--ledger", str(ledger)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, "smatrix", "--family", "su3adj8", "--delta", "0.2",
-                             "--slope", "0.4", "--eps", "1e305", "--method", "crossings",
-                             "--ledger", str(ledger))
-    assert code == 2
-    assert "eps = 1e+305 is too far from the origin for the detour" in err
-    assert "holds |eps| <= 4.32137772803" in err
-    assert out == ""
+        code, out, err = run(capsys, *argv, "--eps", "1e305")
+    assert (code, err) == (0, "")
     assert not caught
-    assert not ledger.exists()
+    near = run(capsys, *argv, "--eps", "1")
+    assert near[0] == 0
+    assert json.loads(out)["matrix"] == json.loads(near[1])["matrix"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -565,16 +596,16 @@ def test_internal_error_exit_3_writes_no_record(tmp_path, capsys, monkeypatch):
 def test_negative_probability_exit_1_writes_no_record(tmp_path, capsys, monkeypatch):
     # a computed matrix below the clamp floor breaks an invariant: exit 1,
     # not the exit 2 of bad input
-    bad = np.array([[1.5, -0.5, 0.0], [-0.5, 1.5, 0.0], [0.0, 0.0, 1.0]])
-    monkeypatch.setattr(cli, "_crossings_schedule", lambda model: [None])
-    monkeypatch.setattr(crossings, "local_smatrix", lambda event, k: bad)
+    # each of bowtie3's two pair blocks turns into this; their product holds -0.75
+    bad = np.array([[1.5, -0.5], [-0.5, 1.5]])
+    monkeypatch.setattr(crossings, "rotation_probabilities", lambda jx, beta: bad)
     ledger = tmp_path / "l.jsonl"
     code, _, err = run(
         capsys, "smatrix", "--family", "bowtie3", "--delta", "0.3", "--slope", "1",
         "--eps", "1", "--method", "crossings", "--ledger", str(ledger),
     )
     assert code == 1
-    assert err.startswith("FAIL: probability entry -5.000e-01 below clamp floor")
+    assert err.startswith("FAIL: probability entry -7.500e-01 below clamp floor")
     assert not ledger.exists()
 
 

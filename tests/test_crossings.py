@@ -106,8 +106,24 @@ def test_schedule_bowtieN_validation():
         schedule_bowtieN([0.1], [0.0], 1.0)
     with pytest.raises(ValueError):
         schedule_bowtieN([0.1, 0.2], [1.0], 1.0)
-    with pytest.raises(ValueError):
-        schedule_bowtieN([0.1], [1.0], -1.0)
+    with pytest.raises(SingularPartnerError, match="eps = 0"):
+        schedule_bowtieN([0.1], [1.0], 0.0)
+
+
+@pytest.mark.parametrize("deltas, slopes", [
+    ([0.3], [-0.8]),
+    ([0.25, 0.2], [0.6, -1.2]),
+    ([0.25, 0.25], [0.6, 1.2]),  # same-sign slopes: two paths join some pairs
+    ([0.2, 0.3, 0.25], [-0.6, -1.2, 2.0]),
+])
+def test_schedule_bowtieN_negative_eps_is_the_derived_schedule(deltas, slopes):
+    # eps -> -eps with flat levels 1 <-> 2 exchanged is a symmetry of the model
+    m = build_model("bowtieN", delta=deltas, slope=slopes, eps=-0.7)
+    hand = schedule_bowtieN(deltas, slopes, -0.7)
+    derived = derive_schedule_generic(m)
+    assert [e.levels for e in hand] == [e.levels for e in derived if e.kind != "trivial"]
+    assert np.array_equal(compose(hand, m.k), compose(derived, m.k))
+    assert np.array_equal(path_counts(hand, m.k), path_counts(derived, m.k))
 
 
 def test_schedule_su3six_table():
@@ -256,6 +272,39 @@ def test_compose_bowtieN_against_oracle():
     m = build_model("bowtieN", delta=deltas, slope=slopes, eps=eps)
     u = propagate(m, t_final=200.0, settings=OdeSettings(rtol=1e-7, atol=1e-9))
     assert np.abs(s - np.abs(u) ** 2).max() < 2e-2
+
+
+@st.composite
+def _catalog_model(draw):
+    family = draw(st.sampled_from(("lz2", "spin", "adjoint3", "bowtie3", "bowtieN", "su3six", "su3adj8")))
+    kwargs = {"family": family, "eps": draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.05, 3.0))}
+    n = draw(st.integers(1, 3)) if family == "bowtieN" else 1
+    # bowtieN's slope magnitudes strictly increase; their signs are free
+    mags = np.cumsum(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    slopes = [draw(st.sampled_from((-1.0, 1.0))) * m for m in mags]
+    deltas = draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n))
+    if family == "bowtieN":
+        kwargs.update(delta=deltas, slope=slopes)
+    else:
+        kwargs.update(delta=deltas[0], slope=float(mags[0]))
+    if family in ("lz2", "spin", "adjoint3"):
+        del kwargs["eps"]
+    if family == "spin":
+        kwargs["k"] = draw(st.integers(2, 8))
+    return kwargs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_catalog_model())
+def test_lifted_smatrix_is_doubly_stochastic_and_identity_uncoupled(kwargs):
+    s, _counts, events = crossings.lifted_smatrix(build_model(**kwargs))
+    assert stochastic_defect(s) <= 1e-14
+    assert s.min() >= 0.0
+    # lz2 has one crossing, the bow tie two per sweeping level
+    base_events = 2 * len(np.atleast_1d(kwargs["delta"])) if "eps" in kwargs else 1
+    assert events == base_events
+    uncoupled = {**kwargs, "delta": np.zeros_like(kwargs["delta"]).tolist()}
+    assert np.array_equal(crossings.lifted_smatrix(build_model(**uncoupled))[0], np.eye(len(s)))
 
 
 def test_path_counts():
