@@ -134,7 +134,8 @@ class CrossingEvent:
         jz = (s - mid) / spacing
         c_sq = 0.0
         if gaps.size:
-            g = g / scale
+            # real division part by part: a complex one by a subnormal scale overflows
+            g = g.real / scale + 1j * (g.imag / scale)
             jy_c = -1j * (jz[:, None] - jz[None, :]) * g
             comm = g @ jy_c - jy_c @ g
             # dark combinations, the common kernel of J_x and J_y, take no

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 from scipy.optimize import brentq as scipy_brentq
@@ -296,6 +296,8 @@ def _catalog_model(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_catalog_model())
+# a subnormal coupling: normalising it must not overflow
+@example({"family": "bowtie3", "eps": -1.0, "delta": 5e-324, "slope": 1.0})
 def test_lifted_smatrix_is_doubly_stochastic_and_identity_uncoupled(kwargs):
     s, _counts, events = crossings.lifted_smatrix(build_model(**kwargs))
     assert stochastic_defect(s) <= 1e-14
