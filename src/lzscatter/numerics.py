@@ -27,9 +27,12 @@ generator: sixth order would need a third sample of ``H`` and nested
 commutators of the samples at every step.
 
 The adaptive loop works in blocks.  A block is a run of up to
-``_BLOCK_STEPS`` steps from the last accepted time, each of the proposed
-size, clipped at ``t1`` and capped (below) one after the other, so the
-run follows the cap step by step.  The generators of every step of the block
+``_BLOCK_STEPS`` (128) steps of the proposed size from the last accepted
+time, its starts one running sum, the step that reaches ``t1`` clipped
+there.  The block is capped (below) as a whole: the caps of all its steps
+and members are one array expression, the steps over their cap are
+shortened, the later starts move with them, and the caps are read again
+until none binds.  The generators of every step of the block
 (the full step and its two halves, for every member) are formed at once,
 for the pair by one ``(3K, 7) @ (7, m 2n^2)`` product, and one stacked
 ``eigh`` exponentiates all 3Km of them: at dimensions up to 8 the
@@ -52,8 +55,9 @@ every step is also capped at ``h g(t_m) <= 2 pi`` at its own midpoint
 ``t_m``, with the gap ``g`` estimated as ``(|[H, [H, C]]| / |C|)^(1/2)``:
 from the basis for the pair, from ``H = (H1 + H2) / 2`` and
 ``C ~ [H1, H2]`` at the step's two Gauss samples for a callable.  A capped
-step whose cap grows along it (toward a smaller gap) is shortened until it
-meets the cap at its own midpoint.
+step is shortened to its cap, or by at least ``_CAP_SHRINK`` where the cap
+grows along it (toward a smaller gap), until it meets the cap at its own
+midpoint.
 
 A pair may be a stack of m pairs ``(m, n, n)``; the members share every
 step (the error is the largest, the cap the smallest over them), and a
@@ -86,7 +90,7 @@ _MAX_STEP_PHASE = 2.0 * np.pi
 # steps per block: one stacked eigh exponentiates the generators of every
 # step of a block.  A block starts at _FIRST_BLOCK_STEPS, doubles after it
 # is accepted whole and halves after a rejection
-_BLOCK_STEPS = 32
+_BLOCK_STEPS = 128
 _FIRST_BLOCK_STEPS = 4
 
 # a capped step that misses the cap at its own midpoint is shortened by at
@@ -223,7 +227,7 @@ def _commutator(a, b):
     return a @ b - b @ a
 
 
-def _step_generators(hfun, t0):
+def _step_generators(hfun, t0, t1=None):
     """Dimension ``n``, a map ``(t, h) -> (3, ..., m, n, n)``, the order, a step cap.
 
     The stack holds the generators of ``[t, t + h]``, ``[t, t + h/2]`` and
@@ -233,10 +237,13 @@ def _step_generators(hfun, t0):
     A callable (``m = 1``) gets the fourth-order Gauss generator, one step
     at a time; a pair ``(A, B)`` the sixth-order closed form, every step of
     the block in one product; ``A`` and ``B`` are matrices (``m = 1``) or
-    stacks of ``m`` of them.  The cap maps a scalar step ``(t, h)`` to the
-    largest step allowed there, ``2 pi`` over the coupled gap at the step's
-    midpoint, the smallest over the members: from the basis for the pair,
-    from the step's two Gauss samples for a callable.
+    stacks of ``m`` of them.  The cap maps steps ``(t, h)``, scalars (a
+    float) or equal-shape arrays (an array), to the largest step allowed
+    there, ``2 pi`` over the coupled gap at the step's midpoint, the
+    smallest over the members: from the basis for the pair, every step and
+    member in one expression; from the step's two Gauss samples for a
+    callable, one step at a time.  Given ``t1``, a pair whose generators
+    could overflow on ``[t0, t1]`` is refused before any step.
     """
     if callable(hfun):
         n = _require_hermitian(hfun(t0), "H(t0)").shape[0]
@@ -252,6 +259,8 @@ def _step_generators(hfun, t0):
             ))[:, None]
 
         def max_step(t, h):
+            if np.ndim(t):
+                return np.array([max_step(t_j, h_j) for t_j, h_j in zip(t, h)])
             # [H1, H2] = (t2 - t1) [A, B] for an affine H; the gap formula
             # does not depend on the scale of C, so the factor is dropped
             h1 = hfun(t + (0.5 - c) * h)
@@ -283,13 +292,24 @@ def _step_generators(hfun, t0):
             a, b, 1j * c, bc, 1j * _commutator(a, ac), 1j * _commutator(b, ac),
             1j * _commutator(b, bc),
         )).reshape(7, m, n * n)
-        caps = [_cap_quartic(last, c_member) for last, c_member in zip(np.swapaxes(basis[4:], 0, 1), c)]
+        caps = np.array([_cap_quartic(last, c_member) for last, c_member in zip(np.swapaxes(basis[4:], 0, 1), c)])
     if not (np.isfinite(basis).all() and np.isfinite(caps).all()):
         raise ValueError(
             f"A and B overflow the Magnus basis or its step cap: max|A| = {np.abs(a).max():.3e}, "
             f"max|B| = {np.abs(b).max():.3e} (its entries are quartic in A and B, their squares)"
         )
+    if t1 is not None:
+        # a span whose generators could overflow is refused before any step:
+        # each coefficient grows with |h| and |t_m| (numpy floats, so a power
+        # overflows to inf), and bounds its share of a generator entry by
+        # the largest entry of its basis matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = np.abs(_pair_coefficients(np.float64(abs(t1 - t0)), np.float64(max(abs(t0), abs(t1))))) \
+                @ np.abs(basis).max(axis=(1, 2))
+        if not np.isfinite(worst):
+            raise IntegrationDivergedError(f"the span [{t0:g}, {t1:g}] overflows the Magnus step generators", t0)
     basis_re = basis.reshape(7, -1).view(float)
+    c_sq, quartic = caps[:, 0], caps[:, 1:].T
 
     def generators(t, h):
         # row j of coef holds the coefficients of the generator of
@@ -302,15 +322,19 @@ def _step_generators(hfun, t0):
         return out.view(complex).reshape(coef.shape[:-1] + (m, n, n))
 
     def max_step(t, h):
-        mid = t + 0.5 * h
-        ratio = np.inf
-        for c_sq, *quartic in caps:
-            q = quartic[0]
+        # the quartic of every step (rows) and member (columns) by Horner;
+        # a member whose quartic is not positive does not cap the step, one
+        # that overflows (to +inf, far out) caps it at 0.  Elementwise
+        # operations only, so a step's cap does not depend on the shape it
+        # is evaluated in
+        mid = np.asarray(t + 0.5 * h, dtype=float)[..., None]
+        q = quartic[0]
+        with np.errstate(over="ignore"):
             for coef in quartic[1:]:
                 q = q * mid + coef
-            if q > 0.0:
-                ratio = min(ratio, c_sq / q)
-        return _MAX_STEP_PHASE * ratio ** 0.25
+        ratio = np.divide(c_sq, q, out=np.full(q.shape, np.inf), where=q > 0.0).min(axis=-1)
+        cap = _MAX_STEP_PHASE * np.sqrt(np.sqrt(ratio))
+        return cap if cap.ndim else float(cap)
 
     return n, generators, 6, max_step
 
@@ -332,19 +356,39 @@ def _cap_quartic(last, c):
             float(4.0 * gram[1, 1] + 2.0 * gram[0, 2]), float(4.0 * gram[0, 1]), float(gram[0, 0])]
 
 
-def _capped_step(max_step, t, h, h_floor):
-    # the proposed step h from t, shortened until it meets the cap at its
-    # own midpoint, or None where the cap is below the floor.  Each pass
-    # shortens it by at least _CAP_SHRINK, so a cap that grows along the
-    # step (as toward a smaller gap) settles in a few passes
-    h_max = max_step(t, h)
-    while abs(h) > h_max:
-        # a cap that shrinks toward zero would otherwise loop forever
-        if h_max < h_floor:
-            return None
-        h = math.copysign(min(h_max, _CAP_SHRINK * abs(h)), h)
-        h_max = max_step(t, h)
-    return h
+def _block(max_step, t, t1, h, length, h_floor):
+    # the starts and steps of a block of up to `length` steps of size h
+    # from t, and where it ends.  The step that reaches t1 is clipped there
+    # and ends the block.  Every step over its cap is shortened to it, and
+    # by at least _CAP_SHRINK, the later starts move with it, and the caps
+    # are read again until none binds; a cap that grows along its step (as
+    # toward a smaller gap) settles in a few passes.  A binding cap below
+    # the floor ends the block before its step, or raises at the block's
+    # first step
+    steps = np.full(length, h)
+    while True:
+        # edges[j] is where step j starts: the same sequential sums as
+        # stepping one at a time
+        edges = np.add.accumulate(np.concatenate(((t,), steps)))
+        reach = edges[1:] >= t1 if h > 0.0 else edges[1:] <= t1
+        reached = reach.any()
+        count = int(reach.argmax()) + 1 if reached else len(steps)
+        starts = edges[:count]
+        block = steps[:count].copy()
+        if reached:
+            block[-1] = t1 - starts[-1]
+        caps = max_step(starts, block)
+        over = np.abs(block) > caps
+        if not over.any():
+            return starts, block, t1 if reached else edges[count]
+        steps[:count][over] = np.copysign(np.minimum(caps, _CAP_SHRINK * np.abs(block)), h)[over]
+        low = over & (caps < h_floor)
+        if low.any():
+            # a cap that shrinks toward zero would otherwise loop forever
+            cut = int(low.argmax())
+            if cut == 0:
+                raise IntegrationDivergedError(f"magnus step cap below the underflow floor at t = {t!r}", t)
+            steps = steps[:cut]
 
 
 def _ordered_product(mats):
@@ -360,18 +404,7 @@ def _ordered_product(mats):
 def _propagate(hfun, t0, t1, settings):
     # the adaptive loop over blocks of steps; (m, n, n), one propagator
     # per member
-    n, generators, order, max_step = _step_generators(hfun, t0)
-    if not callable(hfun):
-        # a span whose generators could overflow is refused before any step:
-        # each coefficient grows with |h| and |t_m| (numpy floats, so a power
-        # overflows to inf), and |[X, Y]| <= 2 |X| |Y| bounds the basis rows by
-        # the Frobenius norms of A, B and C = [A, B]
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, b, c = (np.linalg.norm(x) for x in (*hfun, _commutator(*hfun)))
-            rows = np.array([a, b, c, 2.0 * b * c, 4.0 * a * a * c, 4.0 * a * b * c, 4.0 * b * b * c])
-            worst = np.abs(_pair_coefficients(np.float64(abs(t1 - t0)), np.float64(max(abs(t0), abs(t1))))) @ rows
-        if not np.isfinite(worst):
-            raise IntegrationDivergedError(f"the span [{t0:g}, {t1:g}] overflows the Magnus step generators", t0)
+    n, generators, order, max_step = _step_generators(hfun, t0, t1)
     # Richardson: the two half steps carry 2^-order of the full step's error
     divisor = 2.0 ** order - 1.0
     exponent = 1.0 / (order + 1)
@@ -384,25 +417,8 @@ def _propagate(hfun, t0, t1, settings):
     h_floor = _MIN_STEP_FRACTION * abs(span)
     length = _FIRST_BLOCK_STEPS
     while (t1 - t) * direction > 0.0:
-        # the block: up to `length` steps of the proposed size from t, each
-        # clipped at t1 and capped at its own midpoint
-        starts, steps = [], []
-        s = t
-        while len(steps) < length and (t1 - s) * direction > 0.0:
-            h = h_prop if (s + h_prop - t1) * direction <= 0.0 else t1 - s
-            h = _capped_step(max_step, s, h, h_floor)
-            if h is None:
-                if not steps:
-                    raise IntegrationDivergedError(
-                        f"magnus step cap below the underflow floor at t = {t!r}", t
-                    )
-                # the block ends where the cap fails; if all of it is
-                # accepted, the next block raises from there
-                break
-            starts.append(s)
-            steps.append(h)
-            s = t1 if h == t1 - s else s + h
-        full, first, second = _expmi(generators(np.array(starts), np.array(steps)))
+        starts, steps, s = _block(max_step, t, t1, h_prop, length, h_floor)
+        full, first, second = _expmi(generators(starts, steps))
         half = second @ first
         err = np.abs(half - full).reshape(len(steps), -1).max(axis=1) / divisor
         # accept the longest prefix of steps that each meet the tolerance
@@ -411,7 +427,7 @@ def _propagate(hfun, t0, t1, settings):
         if accepted:
             u = _ordered_product(half[:accepted]) @ u
             # the accepted steps end where the first rejected one starts
-            t = starts[accepted] if accepted < len(steps) else s
+            t = float(starts[accepted] if accepted < len(steps) else s)
         if accepted == len(steps):
             e = float(err[-1])
             h_prop = steps[-1] * min(2.5, max(0.2, 0.9 * (tol / max(e, 1e-300)) ** exponent))
@@ -440,16 +456,17 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     every step for the fourth-order generator.  Both forms run through one
     adaptive loop with step-doubling error control (Richardson divisor
     ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p, the error the
-    largest over the members).  The loop proposes a block of up to 32 steps
-    of one size, each clipped at ``t1`` and capped in turn, and
-    exponentiates the full-step and two half-step generators of every step
-    and member of the block as one stacked ``eigh`` (Rodrigues' closed form
-    at n = 2).  It accepts the longest prefix of steps that each meet the
-    tolerance and restarts from the first rejected one, discarding the rest
-    of the block.  Every step is
-    also kept below one turn of the relative phase of the levels ``[A, B]``
-    couples at its own midpoint, where the error estimate stops being
-    faithful; a callable estimates that gap from its Gauss samples.
+    largest over the members).  The loop proposes a block of up to 128
+    steps of one size, the last clipped at ``t1``, and settles the step cap
+    for the block as a whole: each step is kept below one turn of the
+    relative phase of the levels ``[A, B]`` couples at its own midpoint,
+    where the error estimate stops being faithful, and a shortened step
+    moves the later ones until every cap holds (a callable estimates that
+    gap from its Gauss samples).  It then exponentiates the full-step and
+    two half-step generators of every step and member of the block as one
+    stacked ``eigh`` (Rodrigues' closed form at n = 2), accepts the longest
+    prefix of steps that each meet the tolerance and restarts from the
+    first rejected one, discarding the rest of the block.
 
     An unstacked pair whose interval has 0 strictly inside is folded there:
     ``U(t1, t0) = F(t1, 0) G(-t0, 0)^dag`` with F the propagator of

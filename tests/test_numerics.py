@@ -221,6 +221,34 @@ def test_callable_step_respects_coupled_gap_cap():
     assert np.abs(s_loose - s_tight).max() <= 10 * loose.rtol
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_block_cap_equals_step_cap():
+    # the cap of a block's steps in one array expression is the cap of each
+    # step alone, bit for bit; a decoupled member ([A, B] = 0, its quartic
+    # identically 0) caps no step
+    spin = build_model("spin", k=3, delta=0.5, slope=1.2)
+    a = np.stack((spin.a_of(), np.diag([1.0, 0.0, -2.0]).astype(complex)))
+    b = np.stack((spin.b, np.diag([0.5, 2.0, -1.0]).astype(complex)))
+    t = np.linspace(-120.0, 120.0, 97)
+    h = np.geomspace(1e-4, 3.0, 97) * np.where(np.arange(97) % 2, 1.0, -1.0)
+    for pair in ((a, b), (a[1], b[1])):
+        max_step = _step_generators(pair, 0.0)[3]
+        block = max_step(t, h)
+        alone = [max_step(t_j, h_j) for t_j, h_j in zip(t.tolist(), h.tolist())]
+        assert all(type(cap) is float for cap in alone)
+        assert np.array_equal(block, alone)
+        assert np.array_equal(max_step(t.reshape(-1, 1), h.reshape(-1, 1)), block.reshape(-1, 1))
+    assert np.isinf(_step_generators((a[1], b[1]), 0.0)[3](t, h)).all()
+    # the stack's cap against 2 pi (|C| / |[H, [H, C]]|)^(1/2) of the
+    # coupled member, H at each step's midpoint
+    stacked = _step_generators((a, b), 0.0)[3](t, h)
+    c = commutator(a[0], b[0])
+    for cap, mid in zip(stacked, t + 0.5 * h):
+        hm = a[0] + mid * b[0]
+        gap = np.sqrt(np.linalg.norm(commutator(hm, commutator(hm, c))) / np.linalg.norm(c))
+        assert cap == pytest.approx(2 * np.pi / gap, rel=1e-9)
+
+
 def test_step_cap_below_floor_raises():
     # a coupled gap near 1e14 caps the step near 6e-14, below 1e-7 of the
     # span: stepping on would take some 10^13 steps
@@ -229,6 +257,15 @@ def test_step_cap_below_floor_raises():
         with pytest.raises(IntegrationDivergedError, match="cap") as err:
             propagate_unitary(hfun, 0.0, 1.0)
         assert err.value.last_t == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_cap_quartic_is_a_cap_below_the_floor():
+    # far out, the cap quartic of a steep pair overflows to +inf: an
+    # unbounded gap, so a zero cap refused by name, not a RuntimeWarning
+    with pytest.raises(IntegrationDivergedError, match="cap") as err:
+        propagate_unitary((SIGMA1, 1e40 * SIGMA3), 0.0, 1e20)
+    assert err.value.last_t == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -370,8 +407,8 @@ def _record_blocks(monkeypatch):
     runs = []
     real = numerics._step_generators
 
-    def recording(hfun, t0):
-        n, generators, order, max_step = real(hfun, t0)
+    def recording(hfun, t0, t1):
+        n, generators, order, max_step = real(hfun, t0, t1)
         blocks = []
         runs.append((blocks, generators, order, max_step))
 
@@ -414,7 +451,7 @@ def _replay(blocks, generators, order, max_step, t0, tol):
     return accepted, capped
 
 
-@pytest.mark.parametrize("form", ["pair", "stacked", "folded", "callable"])
+@pytest.mark.parametrize("form", ["pair", "outward", "stacked", "folded", "callable"])
 def test_block_schedule(monkeypatch, form):
     # the steps each block exponentiates, replayed: the accepted ones are
     # contiguous from t0 to t1, each passed its own Richardson estimate,
@@ -426,6 +463,9 @@ def test_block_schedule(monkeypatch, form):
     cases = {
         # inward, so the cap grows along each capped step
         "pair": ((a, b), 100.0, 5.0, loose),
+        # outward, so the cap shrinks along each capped step and a shortened
+        # step moves every later start of its block
+        "outward": ((a, b), 5.0, 100.0, loose),
         "stacked": ((np.stack([_random_hamiltonian(4, seed) for seed in range(3)]),
                      np.stack([np.diag(rng.uniform(-2.0, 2.0, size=4)).astype(complex)
                                for _ in range(3)])), 5.0, 1.0, OdeSettings(rtol=1e-8, atol=1e-10)),
