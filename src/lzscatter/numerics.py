@@ -68,12 +68,28 @@ block's one ``eigh`` exponentiates the generators of all of them.  That is what 
 
 with F the propagator of ``(A, B)`` and G that of the mirror ``(-A, B)``,
 both started at 0 and run outward over the same t values.  A sweep of
-``[-T, T]`` is then one lockstep sweep of ``[0, T]`` on the stack
-``(A, -A), (B, B)``: half the ``eigh`` calls for the same matrices.
+``[-T, T]`` is then one sweep of ``[0, T]`` on the stack
+``(A, -A), (B, B)``.
+
+Every catalog base pair is chiral: a signed permutation P of the levels
+fixes B and maps A to -A (for ``lz2`` P = Z; for the bow-ties it swaps the two
+flat levels and flips the sign of every sweeping one), so G = P F P^T.
+Before stepping a stack, each later member is tested against member 0:
+when a signed permutation maps member 0's pair onto it, it is not stepped
+but formed from member 0's propagator.  A level may only go to one with
+the same diagonals, the signs follow a spanning tree of the strongest
+couplings, and more than ``_MAX_PERMUTATIONS`` candidate permutations
+mean no match.  The match is accepted within roundoff: a mismatch ``dA,
+dB`` moves the member's propagator by at most ``|dA| |t1 - t0| + |dB|
+|t1 - t0| (|t0| + |t1|) / 2`` over the span (Duhamel), and that must stay
+below ``_MATCH_FRACTION`` of the tolerance; the bases that ``unlift``
+recovers differ from their mirror images by an ulp.  The fold of a
+chiral pair then steps one member, half the matrices of every ``eigh``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,6 +116,14 @@ _CAP_SHRINK = 0.999
 # smallest step, as a fraction of the span, before the adaptive driver
 # declares divergence: a run at that step would need 10^7 steps to finish
 _MIN_STEP_FRACTION = 1e-7
+
+# a member formed from member 0 by a signed level permutation differs from
+# its own run by at most this fraction of atol + rtol over the span
+_MATCH_FRACTION = 1e-3
+
+# most level permutations the member match tries: every level may only go
+# to one whose diagonals it shares, and 6! covers six interchangeable ones
+_MAX_PERMUTATIONS = 720
 
 
 class NonHermitianError(ValueError):
@@ -401,9 +425,83 @@ def _ordered_product(mats):
     return mats[0]
 
 
+def _signed_permutation(source, target, t0, t1, tol):
+    """``(take, sign)`` with ``target ~ P source P^T`` for a signed permutation P, or None.
+
+    ``source`` and ``target`` are pairs ``(A, B)``; ``P M P^T`` is
+    ``sign[p] sign[q] M[take[p], take[q]]`` at ``[p, q]``.  The match holds
+    when the mismatch of the pairs meets the Duhamel bound
+    ``|dA| |t1 - t0| + |dB| |t1 - t0| (|t0| + |t1|) / 2 <= _MATCH_FRACTION
+    tol`` (Frobenius norms), which bounds the distance of the target's
+    propagator over ``[t0, t1]`` from ``P F P^T``, F the source's.  A level
+    may only go to one whose diagonals (A and B) match within that bound;
+    the signs come from a spanning tree of the strongest couplings; more
+    than ``_MAX_PERMUTATIONS`` level permutations mean no match.
+    """
+    # Python floats: a span beyond float range is inf here without a
+    # warning, and is left to the generators' span refusal
+    t0, t1 = float(t0), float(t1)
+    span = abs(t1 - t0)
+    weights = (span, span * 0.5 * (abs(t0) + abs(t1)))
+    if not math.isfinite(weights[1]):
+        return None
+    budget = _MATCH_FRACTION * tol
+    n = len(source[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = sum(w * np.abs(np.diagonal(y).real[:, None] - np.diagonal(x).real)
+                  for w, x, y in zip(weights, source, target))
+        allowed = [np.flatnonzero(row <= budget).tolist() for row in gap]
+
+        def extend(take):
+            # every permutation that sends each level to an allowed one
+            if len(take) == n:
+                yield take
+                return
+            for j in allowed[len(take)]:
+                if j not in take:
+                    yield from extend(take + [j])
+
+        candidates = list(itertools.islice(extend([]), _MAX_PERMUTATIONS + 1))
+        if len(candidates) > _MAX_PERMUTATIONS:
+            return None
+        for take in candidates:
+            moved = [x[np.ix_(take, take)] for x in source]
+            strength = sum(w * np.abs(x) for w, x in zip(weights, moved))
+            agree = sum(w * (y * x.conj()).real for w, x, y in zip(weights, moved, target))
+            # Prim: each level joins the tree by its strongest coupling to
+            # it, whose sign relation fixes its sign; a level coupled to
+            # none keeps any sign
+            sign = np.ones(n)
+            inside = [0]
+            outside = list(range(1, n))
+            while outside:
+                links = strength[np.ix_(inside, outside)]
+                p, q = np.unravel_index(int(links.argmax()), links.shape)
+                p, q = inside[p], outside.pop(q)
+                sign[q] = sign[p] if agree[p, q] >= 0.0 else -sign[p]
+                inside.append(q)
+            outer = np.outer(sign, sign)
+            mismatch = sum(w * np.linalg.norm(y - outer * x) for w, x, y in zip(weights, moved, target))
+            if mismatch <= budget:
+                return np.array(take), sign
+    return None
+
+
 def _propagate(hfun, t0, t1, settings):
     # the adaptive loop over blocks of steps; (m, n, n), one propagator
-    # per member
+    # per member.  A member that a signed level permutation P maps member
+    # 0 onto is not stepped: it is formed as P F P^T from member 0's F
+    tol = settings.atol + settings.rtol
+    formed = {}
+    if not callable(hfun):
+        a, b = _hermitian_members(hfun[0], "A"), _hermitian_members(hfun[1], "B")
+        if a.shape == b.shape:
+            for j in range(1, len(a)):
+                match = _signed_permutation((a[0], b[0]), (a[j], b[j]), t0, t1, tol)
+                if match is not None:
+                    formed[j] = match
+            stepped = [j for j in range(len(a)) if j not in formed]
+            hfun = (a[stepped], b[stepped])
     n, generators, order, max_step = _step_generators(hfun, t0, t1)
     # Richardson: the two half steps carry 2^-order of the full step's error
     divisor = 2.0 ** order - 1.0
@@ -413,7 +511,6 @@ def _propagate(hfun, t0, t1, settings):
     u = np.eye(n, dtype=complex)
     t = t0
     h_prop = span * 1e-3
-    tol = settings.atol + settings.rtol
     h_floor = _MIN_STEP_FRACTION * abs(span)
     length = _FIRST_BLOCK_STEPS
     while (t1 - t) * direction > 0.0:
@@ -441,7 +538,13 @@ def _propagate(hfun, t0, t1, settings):
         # singularity) stop here too, not only rejected ones
         if abs(h_prop) < h_floor and (t1 - t) * direction > 0.0:
             raise IntegrationDivergedError(f"magnus step underflow at t = {t!r}", t)
-    return u
+    if not formed:
+        return u
+    out = np.empty((len(u) + len(formed), n, n), dtype=complex)
+    out[stepped] = u
+    for j, (take, sign) in formed.items():
+        out[j] = np.outer(sign, sign) * u[0][np.ix_(take, take)]
+    return out
 
 
 def propagate_unitary(hfun, t0, t1, settings=None):
@@ -472,9 +575,12 @@ def propagate_unitary(hfun, t0, t1, settings=None):
     ``U(t1, t0) = F(t1, 0) G(-t0, 0)^dag`` with F the propagator of
     ``(A, B)`` and G that of the mirror ``(-A, B)``, both outward from 0
     in the direction of ``t1 - t0``.  F and G are propagated as one stack
-    up to ``min(|t0|, |t1|)`` and the longer one is finished alone, so
-    every step exponentiates two members for the price of one ``eigh``
-    call and the interval costs one sweep of its longer half.
+    up to ``min(|t0|, |t1|)`` and the longer one is finished alone, so the
+    interval costs one sweep of its longer half.  In any stack, a member
+    that a signed level permutation P maps member 0's pair onto, within a
+    small fraction of the tolerance (module docstring), is not stepped but
+    formed as ``P F P^T``: for a chiral pair, every catalog base, the
+    fold steps F alone.
 
     Every update is an exact exponential of a Hermitian generator, so the
     result is unitary to roundoff regardless of tolerance; the tolerances

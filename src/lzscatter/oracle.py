@@ -67,7 +67,10 @@ def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleRe
     ``U(-s, 0)``).  F and G are propagated outward from 0 as one stacked
     pair over the shells [0, T/2], [T/2, T/sqrt(2)] and [T/sqrt(2), T],
     and ``U = F G^dag`` is read off at each of the three horizons, so the
-    three propagators cost one lockstep sweep of [0, T].  The entrywise
+    three propagators cost one sweep of [0, T].  For a chiral pair (every
+    catalog base) the stack steps F alone and forms G as ``P F P^T``, P
+    the signed level permutation that maps ``(A, B)`` to ``(-A, B)``
+    (``numerics`` module docstring).  The entrywise
     spread of the three probability matrices is the error estimate.  A
     spread above 0.1 flags the result as non-converged (it is still
     returned).

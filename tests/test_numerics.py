@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lzscatter import numerics
-from lzscatter.models import build_model
+from lzscatter.models import build_model, unlift
 from lzscatter.numerics import (
     IntegrationDivergedError,
     NonHermitianError,
@@ -540,3 +542,123 @@ def test_random_pairs_meet_tolerance(dim, members, seed, through_zero, backward)
         for u_m, a_m, b_m in zip(u, a, b):
             alone = propagate_unitary((a_m, b_m), t0, t1, loose)
             assert np.abs(u_m - alone).max() <= 10 * loose.rtol
+
+
+def _stepped_members(runs):
+    # the member count of every stack the recorded adaptive loops stepped
+    return [generators(0.0, 1.0).shape[1] for _, generators, _, _ in runs]
+
+
+def _base_pair(model):
+    pair = np.stack((model.a_of(), model.b))
+    base = unlift(pair, model.rep)
+    return tuple(pair if base is None else base)
+
+
+_CHIRAL = [
+    ("lz2", dict(delta=0.3, slope=1.0)),
+    ("adjoint3", dict(delta=0.8, slope=1.0)),
+    ("bowtie3", dict(delta=0.3, slope=1.0, eps=1.0)),
+    ("bowtieN", dict(delta=(0.25, 0.25), slope=(0.6, 1.2), eps=1.0)),
+    ("bowtieN", dict(delta=(0.25, 0.25), slope=(-0.6, 1.2), eps=-1.0)),
+    ("su3six", dict(delta=0.2, slope=0.4, eps=-1.0)),
+    ("su3adj8", dict(delta=0.2, slope=0.4, eps=-1.0)),
+] + [("spin", dict(k=k, delta=0.8, slope=1.0)) for k in range(2, 9)]
+
+
+@pytest.mark.parametrize("family, kwargs", _CHIRAL)
+@pytest.mark.parametrize("form", ["base", "k x k"])
+def test_mirror_member_is_formed(monkeypatch, family, kwargs, form):
+    # a signed level permutation P maps every catalog pair (A, B) onto its
+    # mirror (-A, B), so the mirror member of a stack is formed as P F P^T
+    # and one member is stepped; the formed member matches a run of the
+    # mirror alone by the rule of test_stacked_pair_matches_members
+    model = build_model(family, **kwargs)
+    a, b = _base_pair(model) if form == "base" else (model.a_of(), model.b)
+    settings_ = OdeSettings(rtol=1e-8, atol=1e-10)
+    runs = _record_blocks(monkeypatch)
+    f, g = propagate_unitary((np.stack((a, -a)), np.stack((b, b))), 0.0, 30.0, settings_)
+    # the fold steps the stack to 20, then the mirror alone to 30
+    propagate_unitary((a, b), -30.0, 20.0, settings_)
+    # the adjoint's Cartan pair is mapped by the Weyl reflection, a rotation
+    # of its two levels in the root-adapted basis and no signed permutation
+    stepped = 2 if (family, form) == ("su3adj8", "k x k") else 1
+    assert _stepped_members(runs) == [stepped, stepped, 1]
+    alone = propagate_unitary((-a, b), 0.0, 30.0, settings_)
+    assert np.abs(g - alone).max() <= 10 * settings_.rtol
+    assert np.abs(f - propagate_unitary((a, b), 0.0, 30.0, settings_)).max() <= 10 * settings_.rtol
+
+
+def _moved_bowtie3(step):
+    model = build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0)
+    a = model.a_of()
+    a[0, 2] = a[2, 0] = step(a[0, 2].real)
+    return a, model.b
+
+
+@pytest.mark.parametrize("pair, stepped", [
+    ((_random_hamiltonian(3, 5), np.diag([1.0, -0.5, 2.0]).astype(complex)), 2),
+    # one coupling 1e-6 off its mirror image: a mismatch over the bound
+    (_moved_bowtie3(lambda x: x + 1e-6), 2),
+    # one ulp off, as the bases unlift recovers: matched
+    (_moved_bowtie3(lambda x: np.nextafter(x, 1.0)), 1),
+], ids=["random", "moved-1e-6", "moved-1-ulp"])
+def test_mirror_match_needs_the_symmetry(monkeypatch, pair, stepped):
+    a, b = pair
+    settings_ = OdeSettings(rtol=1e-8, atol=1e-10)
+    runs = _record_blocks(monkeypatch)
+    _, g = propagate_unitary((np.stack((a, -a)), np.stack((b, b))), 0.0, 30.0, settings_)
+    assert _stepped_members(runs) == [stepped]
+    alone = propagate_unitary((-a, b), 0.0, 30.0, settings_)
+    assert np.abs(g - alone).max() <= 10 * settings_.rtol
+
+
+def _reversal_chiral(n, seed):
+    # zero diagonal, B a multiple of I: every level permutation is a
+    # candidate, and only the reversal (the last one tried) maps A to -A
+    x = _random_hamiltonian(n, seed)
+    np.fill_diagonal(x, 0.0)
+    a = x - x[::-1, ::-1]
+    return a, 0.5 * np.eye(n, dtype=complex)
+
+
+def test_mirror_match_caps_its_candidates(monkeypatch):
+    # 8 interchangeable levels are 8! candidates: the search stops at the
+    # cap and steps both members, although the reversal would match
+    a, b = _reversal_chiral(8, 3)
+    start = time.perf_counter()
+    assert numerics._signed_permutation((a, b), (-a, b), 0.0, 5.0, 1e-8) is None
+    assert time.perf_counter() - start < 1.0
+    runs = _record_blocks(monkeypatch)
+    propagate_unitary((np.stack((a, -a)), np.stack((b, b))), 0.0, 5.0)
+    assert _stepped_members(runs) == [2]
+    # 4 levels are 24 candidates, the reversal the 24th
+    a, b = _reversal_chiral(4, 3)
+    for cap, expected in ((23, None), (24, [3, 2, 1, 0])):
+        monkeypatch.setattr(numerics, "_MAX_PERMUTATIONS", cap)
+        match = numerics._signed_permutation((a, b), (-a, b), 0.0, 5.0, 1e-8)
+        assert (match if match is None else match[0].tolist()) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_relabelled_pair_propagates_relabelled(dim, seed, chiral):
+    # relabelling the levels by a signed permutation P relabels U:
+    # U(P A P^T, P B P^T) = P U(A, B) P^T, folded or not, on a random pair
+    # or the base of a catalog family
+    rng = np.random.default_rng(seed)
+    if chiral:
+        family, kwargs = _CHIRAL[rng.integers(len(_CHIRAL))]
+        a, b = _base_pair(build_model(family, **kwargs))
+        dim = len(a)
+    else:
+        a = _random_hamiltonian(dim, seed)
+        b = np.diag(rng.uniform(-2.0, 2.0, size=dim)).astype(complex)
+    take = rng.permutation(dim)
+    sign = rng.choice((-1.0, 1.0), size=dim)
+    relabel = lambda m: np.outer(sign, sign) * m[np.ix_(take, take)]
+    t0, t1 = sorted(rng.uniform(-4.0, 4.0, size=2))
+    settings_ = OdeSettings(rtol=1e-8, atol=1e-10)
+    u = propagate_unitary((a, b), t0, t1, settings_)
+    moved = propagate_unitary((relabel(a), relabel(b)), t0, t1, settings_)
+    assert np.abs(moved - relabel(u)).max() <= 10 * settings_.rtol

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from brundobler_elser import extremal_survivals
@@ -177,6 +179,32 @@ def test_off_image_copy_runs_its_own_pair(monkeypatch):
     assert shapes == [(2, 6, 6)] * 3
     direct = numeric_smatrix(dataclasses.replace(perturbed, rep=None), t_final=10.0, settings=FAST)
     assert np.array_equal(result.s_num, direct.s_num)
+
+
+_RELABELLED = {
+    "bowtie3": dict(delta=0.3, slope=1.0, eps=1.0),
+    "su3six": dict(delta=0.2, slope=0.4, eps=-1.0),
+    "spin": dict(k=4, delta=0.8, slope=1.0),
+    "adjoint3": dict(delta=0.8, slope=1.0),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(_RELABELLED)), st.integers(0, 2 ** 32 - 1))
+def test_relabelled_model_permutes_s(family, seed):
+    # a model naming no representation whose coefficients are relabelled by
+    # a signed level permutation returns S with its rows and columns
+    # permuted the same way (the signs drop out of |U|^2)
+    m = build_model(family, **_RELABELLED[family])
+    rng = np.random.default_rng(seed)
+    take = rng.permutation(m.k)
+    sign = rng.choice((-1.0, 1.0), size=m.k)
+    relabel = lambda x: np.outer(sign, sign) * x[np.ix_(take, take)]
+    moved = dataclasses.replace(m, rep=None, a0=relabel(m.a0), a1=relabel(m.a1), b=relabel(m.b))
+    s = numeric_smatrix(dataclasses.replace(m, rep=None), t_final=30.0, settings=FAST)
+    s_moved = numeric_smatrix(moved, t_final=30.0, settings=FAST)
+    assert np.abs(s_moved.s_num - s.s_num[np.ix_(take, take)]).max() <= 10 * FAST.rtol
+    assert abs(s_moved.error_estimate - s.error_estimate) <= 10 * FAST.rtol
 
 
 @pytest.mark.parametrize("t_final", [0.0, -10.0, np.inf, np.nan])
