@@ -15,7 +15,6 @@ from .numerics import (
     NonHermitianError,
     OdeSettings,
     commutator,
-    hermitian_eigs,
     propagate_unitary,
     unitarity_defect,
 )

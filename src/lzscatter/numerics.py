@@ -2,18 +2,18 @@
 
 Everything downstream (model evaluation, Lax flows, the numerical
 scattering engine) goes through the handful of operations in this module:
-a validated Hermitian eigensolver, the matrix commutator, and an
+the matrix commutator, the exponential of a Hermitian generator, and an
 adaptive Magnus propagator for linear Schrodinger-type flows.  The Magnus
 update is a product of exact matrix exponentials of Hermitian generators
 and is therefore unitary to roundoff at any step size, where a generic
 Runge-Kutta route accumulates unitarity drift over sweeps of several
 hundred time units.
 
-The propagator takes either a callable ``H(t)`` or a pair ``(A, B)``
-standing for the affine ``H(t) = A + t B`` of every catalog family.  For
-the pair ``[H(t1), H(t2)] = (t2 - t1) [A, B]``, and the Magnus series of a
-step ``[t, t + h]`` truncated at sixth order (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 151 (2009), their Omega^[6] with alpha_3 = 0) is exactly
+The propagator takes a pair ``(A, B)`` standing for the affine ``H(t) =
+A + t B`` of every catalog family.  Then ``[H(t1), H(t2)] = (t2 - t1)
+[A, B]``, and the Magnus series of a step ``[t, t + h]`` truncated at
+sixth order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), their
+Omega^[6] with alpha_3 = 0) is exactly
 
     h A + h t_m B + (i h^3 / 12) C + (h^5 / 240) [B, C]
         + (i h^5 / 720) ([A, [A, C]] + 2 t_m [B, [A, C]] + t_m^2 [B, [B, C]]),
@@ -22,9 +22,7 @@ with ``C = [A, B]`` and ``t_m = t + h / 2``; Jacobi with ``[C, C] = 0``
 gives ``[A, [B, C]] = [B, [A, C]]``.  The seven Hermitian matrices ``A, B,
 iC, [B, C], i[A, [A, C]], i[B, [A, C]], i[B, [B, C]]`` are formed once per
 propagation, every step generator is one real combination of them, and no
-``H(t)`` is evaluated.  A callable keeps the fourth-order two-point Gauss
-generator: sixth order would need a third sample of ``H`` and nested
-commutators of the samples at every step.
+``H(t)`` is evaluated.
 
 The adaptive loop works in blocks.  A block is a run of up to
 ``_BLOCK_STEPS`` (128) steps of the proposed size from the last accepted
@@ -34,14 +32,14 @@ and members are one array expression, the steps over their cap are
 shortened, the later starts move with them, and the caps are read again
 until none binds.  The generators of every step of the block
 (the full step and its two halves, for every member) are formed at once,
-for the pair by one ``(3K, 7) @ (7, m 2n^2)`` product, and one stacked
+by one ``(3K, 7) @ (7, m 2n^2)`` product, and one stacked
 ``eigh`` exponentiates all 3Km of them: at dimensions up to 8 the
 per-call overhead, not the arithmetic, is what costs.  A 2 x 2 stack
 (the fundamental pair of the Lax flow, ``lz2``) takes Rodrigues' closed
 form instead, entry by entry over the stack.  The step-doubling
-error estimate is the Richardson one, ``|U_half - U_full| / (2^p - 1)`` for
-a generator of order p, one entry per step.  The longest prefix of steps
-that each meet the tolerance is accepted and multiplied onto U; the
+error estimate is the Richardson one of the sixth-order generator,
+``|U_half - U_full| / (2^6 - 1)``, one entry per step.  The longest prefix
+of steps that each meet the tolerance is accepted and multiplied onto U; the
 controller then restarts from the first rejected step, shrunk by the usual
 factor, and the exponentials of the steps after it are discarded.  A block
 starts at ``_FIRST_BLOCK_STEPS`` steps, doubles after it is accepted whole
@@ -52,9 +50,8 @@ The Richardson estimate is faithful only while a step turns the relative
 phase of the levels that ``[A, B]`` couples by less than 2 pi; beyond that
 the full and half-step propagators can agree while both are wrong.  So
 every step is also capped at ``h g(t_m) <= 2 pi`` at its own midpoint
-``t_m``, with the gap ``g`` estimated as ``(|[H, [H, C]]| / |C|)^(1/2)``:
-from the basis for the pair, from ``H = (H1 + H2) / 2`` and
-``C ~ [H1, H2]`` at the step's two Gauss samples for a callable.  A capped
+``t_m``, with the gap ``g`` estimated as ``(|[H, [H, C]]| / |C|)^(1/2)``
+from the basis, a quartic in ``t_m`` under the square roots.  A capped
 step is shortened to its cap, or by at least ``_CAP_SHRINK`` where the cap
 grows along it (toward a smaller gap), until it meets the cap at its own
 midpoint.
@@ -95,8 +92,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SQRT3 = np.sqrt(3.0)
-
 # largest h * g of a step, g the level gap that [A, B] couples:
 # beyond one relative phase turn of the coupled levels per step the full
 # and half-step propagators can agree while both are wrong, and step
@@ -108,6 +103,11 @@ _MAX_STEP_PHASE = 2.0 * np.pi
 # is accepted whole and halves after a rejection
 _BLOCK_STEPS = 128
 _FIRST_BLOCK_STEPS = 4
+
+# Richardson: the two half steps of the sixth-order generator carry 2^-6
+# of the full step's error, and a step's error scales as h^7
+_RICHARDSON = 2.0 ** 6 - 1.0
+_STEP_EXPONENT = 1.0 / 7.0
 
 # a capped step that misses the cap at its own midpoint is shortened by at
 # least this factor per pass
@@ -196,18 +196,6 @@ def _hermitian_members(m, name):
     return np.stack([_require_hermitian(x, name) for x in (m if m.ndim == 3 else [m])])
 
 
-def hermitian_eigs(m, tol=1e-12):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``.  Rejects input with a non-finite entry
-    (``ValueError``) or whose Hermiticity defect exceeds ``tol * max|m|``
-    (``NonHermitianError``, naming the offending deviation).
-    """
-    w, v = np.linalg.eigh(_require_hermitian(m, tol=tol))
-    return w, v
-
-
 def _expmi(m):
     # exp(-i m) for a Hermitian matrix or a stack of them, unitary to roundoff
     if m.shape[-1] == 2:
@@ -237,70 +225,28 @@ def _expmi2(m):
     return out
 
 
-def _magnus_generator(hfun, t, h):
-    # fourth-order two-point Gauss generator: exp(-i M) advances by h
-    c = _SQRT3 / 6.0
-    h1 = hfun(t + (0.5 - c) * h)
-    h2 = hfun(t + (0.5 + c) * h)
-    prod = h1 @ h2
-    return 0.5 * h * (h1 + h2) + 1j * (_SQRT3 / 12.0) * h * h * (prod - prod.conj().T)
-
-
 def _commutator(a, b):
     # unchecked, on matrices or stacks of them
     return a @ b - b @ a
 
 
-def _step_generators(hfun, t0, t1=None):
-    """Dimension ``n``, a map ``(t, h) -> (3, ..., m, n, n)``, the order, a step cap.
+def _step_generators(pair, t0, t1=None):
+    """A map ``(t, h) -> (3, ..., m, n, n)`` of step generators, and a step cap.
 
-    The stack holds the generators of ``[t, t + h]``, ``[t, t + h/2]`` and
-    ``[t + h/2, t + h]``, in that order, for each of the ``m`` members.
-    ``t`` and ``h`` are scalars, giving ``(3, m, n, n)``, or equal-shape
-    arrays of the steps of a block, giving ``(3, K, m, n, n)`` for K steps.
-    A callable (``m = 1``) gets the fourth-order Gauss generator, one step
-    at a time; a pair ``(A, B)`` the sixth-order closed form, every step of
-    the block in one product; ``A`` and ``B`` are matrices (``m = 1``) or
-    stacks of ``m`` of them.  The cap maps steps ``(t, h)``, scalars (a
-    float) or equal-shape arrays (an array), to the largest step allowed
-    there, ``2 pi`` over the coupled gap at the step's midpoint, the
-    smallest over the members: from the basis for the pair, every step and
-    member in one expression; from the step's two Gauss samples for a
-    callable, one step at a time.  Given ``t1``, a pair whose generators
+    ``pair`` is ``(A, B)``, matrices (``m = 1``) or stacks of ``m`` of
+    them, taken as checked.  The stack holds the sixth-order generators of
+    ``[t, t + h]``, ``[t, t + h/2]`` and ``[t + h/2, t + h]``, in that
+    order, for each of the ``m`` members.  ``t`` and ``h`` are scalars,
+    giving ``(3, m, n, n)``, or equal-shape arrays of the steps of a block,
+    giving ``(3, K, m, n, n)`` for K steps, every step in one product.  The
+    cap maps steps ``(t, h)``, scalars (a float) or equal-shape arrays (an
+    array), to the largest step allowed there, ``2 pi`` over the coupled
+    gap at the step's midpoint, the smallest over the members, every step
+    and member in one expression.  Given ``t1``, a pair whose generators
     could overflow on ``[t0, t1]`` is refused before any step.
     """
-    if callable(hfun):
-        n = _require_hermitian(hfun(t0), "H(t0)").shape[0]
-        c = _SQRT3 / 6.0
-
-        def generators(t, h):
-            if np.ndim(t):
-                return np.stack([generators(t_j, h_j) for t_j, h_j in zip(t, h)], axis=1)
-            return np.stack((
-                _magnus_generator(hfun, t, h),
-                _magnus_generator(hfun, t, 0.5 * h),
-                _magnus_generator(hfun, t + 0.5 * h, 0.5 * h),
-            ))[:, None]
-
-        def max_step(t, h):
-            if np.ndim(t):
-                return np.array([max_step(t_j, h_j) for t_j, h_j in zip(t, h)])
-            # [H1, H2] = (t2 - t1) [A, B] for an affine H; the gap formula
-            # does not depend on the scale of C, so the factor is dropped
-            h1 = hfun(t + (0.5 - c) * h)
-            h2 = hfun(t + (0.5 + c) * h)
-            comm = _commutator(h1, h2)
-            mid = 0.5 * (h1 + h2)
-            curv = _commutator(mid, _commutator(mid, comm))
-            q = float(np.vdot(curv, curv).real)
-            c_sq = float(np.vdot(comm, comm).real)
-            return _MAX_STEP_PHASE * (c_sq / q) ** 0.25 if q > 0.0 else np.inf
-
-        return n, generators, 4, max_step
-    a = _hermitian_members(hfun[0], "A")
-    b = _hermitian_members(hfun[1], "B")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: A {a.shape} vs B {b.shape}")
+    a, b = (np.asarray(x, dtype=complex) for x in pair)
+    a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
     m, n, _ = a.shape
     # the basis holds seven Hermitian matrices per member and each
     # generator is one real combination of them, formed for every step and
@@ -360,7 +306,7 @@ def _step_generators(hfun, t0, t1=None):
         cap = _MAX_STEP_PHASE * np.sqrt(np.sqrt(ratio))
         return cap if cap.ndim else float(cap)
 
-    return n, generators, 6, max_step
+    return generators, max_step
 
 
 def _pair_coefficients(step, mid):
@@ -487,28 +433,21 @@ def _signed_permutation(source, target, t0, t1, tol):
     return None
 
 
-def _propagate(hfun, t0, t1, settings):
-    # the adaptive loop over blocks of steps; (m, n, n), one propagator
-    # per member.  A member that a signed level permutation P maps member
-    # 0 onto is not stepped: it is formed as P F P^T from member 0's F
+def _propagate(a, b, t0, t1, settings):
+    # the adaptive loop over blocks of steps on checked (m, n, n) stacks;
+    # one propagator per member.  A member that a signed level permutation P
+    # maps member 0 onto is not stepped but formed from member 0's F as P F P^T
     tol = settings.atol + settings.rtol
     formed = {}
-    if not callable(hfun):
-        a, b = _hermitian_members(hfun[0], "A"), _hermitian_members(hfun[1], "B")
-        if a.shape == b.shape:
-            for j in range(1, len(a)):
-                match = _signed_permutation((a[0], b[0]), (a[j], b[j]), t0, t1, tol)
-                if match is not None:
-                    formed[j] = match
-            stepped = [j for j in range(len(a)) if j not in formed]
-            hfun = (a[stepped], b[stepped])
-    n, generators, order, max_step = _step_generators(hfun, t0, t1)
-    # Richardson: the two half steps carry 2^-order of the full step's error
-    divisor = 2.0 ** order - 1.0
-    exponent = 1.0 / (order + 1)
+    for j in range(1, len(a)):
+        match = _signed_permutation((a[0], b[0]), (a[j], b[j]), t0, t1, tol)
+        if match is not None:
+            formed[j] = match
+    stepped = [j for j in range(len(a)) if j not in formed]
+    generators, max_step = _step_generators((a[stepped], b[stepped]), t0, t1)
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
-    u = np.eye(n, dtype=complex)
+    u = np.eye(a.shape[-1], dtype=complex)
     t = t0
     h_prop = span * 1e-3
     h_floor = _MIN_STEP_FRACTION * abs(span)
@@ -517,7 +456,7 @@ def _propagate(hfun, t0, t1, settings):
         starts, steps, s = _block(max_step, t, t1, h_prop, length, h_floor)
         full, first, second = _expmi(generators(starts, steps))
         half = second @ first
-        err = np.abs(half - full).reshape(len(steps), -1).max(axis=1) / divisor
+        err = np.abs(half - full).reshape(len(steps), -1).max(axis=1) / _RICHARDSON
         # accept the longest prefix of steps that each meet the tolerance
         passed = err <= tol
         accepted = len(steps) if passed.all() else int(passed.argmin())
@@ -527,12 +466,12 @@ def _propagate(hfun, t0, t1, settings):
             t = float(starts[accepted] if accepted < len(steps) else s)
         if accepted == len(steps):
             e = float(err[-1])
-            h_prop = steps[-1] * min(2.5, max(0.2, 0.9 * (tol / max(e, 1e-300)) ** exponent))
+            h_prop = steps[-1] * min(2.5, max(0.2, 0.9 * (tol / max(e, 1e-300)) ** _STEP_EXPONENT))
             length = min(2 * length, _BLOCK_STEPS)
         else:
             # restart from the first rejected step
             e = float(err[accepted])
-            h_prop = steps[accepted] * max(0.1, 0.9 * (tol / e) ** exponent)
+            h_prop = steps[accepted] * max(0.1, 0.9 * (tol / e) ** _STEP_EXPONENT)
             length = max(length // 2, _FIRST_BLOCK_STEPS)
         # accepted steps that keep shrinking (toward a finite-time
         # singularity) stop here too, not only rejected ones
@@ -540,36 +479,34 @@ def _propagate(hfun, t0, t1, settings):
             raise IntegrationDivergedError(f"magnus step underflow at t = {t!r}", t)
     if not formed:
         return u
-    out = np.empty((len(u) + len(formed), n, n), dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
     out[stepped] = u
     for j, (take, sign) in formed.items():
         out[j] = np.outer(sign, sign) * u[0][np.ix_(take, take)]
     return out
 
 
-def propagate_unitary(hfun, t0, t1, settings=None):
-    """Propagator ``U(t1, t0)`` of ``i dU/dt = H(t) U`` for Hermitian H(t).
+def propagate_unitary(pair, t0, t1, settings=None):
+    """Propagator ``U(t1, t0)`` of ``i dU/dt = H(t) U`` for ``H(t) = A + t B``.
 
-    ``hfun`` is either a callable ``H(t)`` or a pair ``(A, B)`` meaning
-    ``H(t) = A + t B``.  ``A`` and ``B`` may also be stacks of shape
-    ``(m, n, n)``; the ``m`` members then share every step and the result
-    has shape ``(m, n, n)``.  The pair gets the sixth-order Magnus generator
-    in closed form (module docstring), a real combination of seven matrices
-    formed once per call; a callable is sampled at the two Gauss points of
-    every step for the fourth-order generator.  Both forms run through one
-    adaptive loop with step-doubling error control (Richardson divisor
-    ``2^p - 1``, step exponent ``1 / (p + 1)`` for order p, the error the
-    largest over the members).  The loop proposes a block of up to 128
-    steps of one size, the last clipped at ``t1``, and settles the step cap
-    for the block as a whole: each step is kept below one turn of the
-    relative phase of the levels ``[A, B]`` couples at its own midpoint,
-    where the error estimate stops being faithful, and a shortened step
-    moves the later ones until every cap holds (a callable estimates that
-    gap from its Gauss samples).  It then exponentiates the full-step and
-    two half-step generators of every step and member of the block as one
-    stacked ``eigh`` (Rodrigues' closed form at n = 2), accepts the longest
-    prefix of steps that each meet the tolerance and restarts from the
-    first rejected one, discarding the rest of the block.
+    ``pair`` is ``(A, B)``, Hermitian matrices or stacks of shape
+    ``(m, n, n)``; the ``m`` members of a stack share every step and the
+    result has shape ``(m, n, n)``.  A callable ``H(t)`` is refused with a
+    ``TypeError`` that names the pair form.  Each step takes the
+    sixth-order Magnus generator in closed form (module docstring), a real
+    combination of seven matrices formed once per call, under step-doubling
+    error control (Richardson divisor ``2^6 - 1``, step exponent ``1 / 7``,
+    the error the largest over the members).  The adaptive loop proposes a
+    block of up to 128 steps of one size, the last clipped at ``t1``, and
+    settles the step cap for the block as a whole: each step is kept below
+    one turn of the relative phase of the levels ``[A, B]`` couples at its
+    own midpoint, where the error estimate stops being faithful, and a
+    shortened step moves the later ones until every cap holds.  It then
+    exponentiates the full-step and two half-step generators of every step
+    and member of the block as one stacked ``eigh`` (Rodrigues' closed form
+    at n = 2), accepts the longest prefix of steps that each meet the
+    tolerance and restarts from the first rejected one, discarding the rest
+    of the block.
 
     An unstacked pair whose interval has 0 strictly inside is folded there:
     ``U(t1, t0) = F(t1, 0) G(-t0, 0)^dag`` with F the propagator of
@@ -584,33 +521,40 @@ def propagate_unitary(hfun, t0, t1, settings=None):
 
     Every update is an exact exponential of a Hermitian generator, so the
     result is unitary to roundoff regardless of tolerance; the tolerances
-    control phase/transition accuracy only.  ``A`` and ``B`` (each member),
-    or the callable's ``H(t0)``, are checked once per call by the
-    ``hermitian_eigs`` rule; non-finite endpoints raise ``ValueError``.  A
-    pair span that would overflow a step generator, and a proposed step or
-    step cap below ``1e-7`` of the span (accepted or not, so a finite-time
-    singularity ends the run early), raise ``IntegrationDivergedError``.
+    control phase/transition accuracy only.  ``A`` and ``B`` (each member)
+    are checked once per call: a non-finite entry raises ``ValueError``, a
+    Hermiticity defect above ``1e-12 max|M|`` ``NonHermitianError``.
+    Non-finite endpoints and unequal shapes raise ``ValueError``.  A span
+    that would overflow a step generator, and a proposed step or step cap
+    below ``1e-7`` of the span (accepted or not, so a run toward an
+    unbounded gap ends early), raise ``IntegrationDivergedError``.
     """
+    try:
+        a, b = pair
+    except TypeError:
+        raise TypeError(f"propagate_unitary takes the pair (A, B) of H(t) = A + t B, "
+                        f"not a {type(pair).__name__}") from None
     if settings is None:
         settings = OdeSettings()
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
     if t0 == t1:
         raise ValueError("t0 and t1 must differ")
-    if callable(hfun):
-        return _propagate(hfun, t0, t1, settings)[0]
-    a, b = (np.asarray(x, dtype=complex) for x in hfun)
-    if a.ndim != 2 or b.ndim != 2:
-        return _propagate((a, b), t0, t1, settings)
-    if t0 * t1 >= 0.0:
-        return _propagate((a, b), t0, t1, settings)[0]
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    stacked = a.ndim != 2 or b.ndim != 2
+    a, b = _hermitian_members(a, "A"), _hermitian_members(b, "B")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: A {a.shape} vs B {b.shape}")
+    if stacked or t0 * t1 >= 0.0:
+        u = _propagate(a, b, t0, t1, settings)
+        return u if stacked else u[0]
     # i dW/ds = (-A + s B) W for W(s) = U(-s, 0), so U(0, t0) = G(-t0, 0)^dag
     inner = math.copysign(min(abs(t0), abs(t1)), t1)
-    f, g = _propagate((np.stack((a, -a)), np.stack((b, b))), 0.0, inner, settings)
+    f, g = _propagate(np.concatenate((a, -a)), np.concatenate((b, b)), 0.0, inner, settings)
     if abs(t1) > abs(inner):
-        f = _propagate((a, b), inner, t1, settings)[0] @ f
+        f = _propagate(a, b, inner, t1, settings)[0] @ f
     elif abs(t0) > abs(inner):
-        g = _propagate((-a, b), inner, -t0, settings)[0] @ g
+        g = _propagate(-a, b, inner, -t0, settings)[0] @ g
     return f @ g.conj().T
 
 

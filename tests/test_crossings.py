@@ -274,6 +274,25 @@ def test_compose_bowtieN_against_oracle():
     assert np.abs(s - np.abs(u) ** 2).max() < 2e-2
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.data())
+def test_compose_and_path_counts_follow_a_relabelling(n, data):
+    # relabelling the levels of every event of a bowtieN schedule (n
+    # sweeping levels) by a permutation pi relabels its S and path counts:
+    # P S P^T and P C P^T with P[pi(i), i] = 1
+    mags = np.cumsum(data.draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    slopes = [data.draw(st.sampled_from((-1.0, 1.0))) * m for m in mags]
+    deltas = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n))
+    eps = data.draw(st.sampled_from((-1.0, 1.0))) * data.draw(st.floats(0.05, 3.0))
+    schedule = schedule_bowtieN(deltas, slopes, eps)
+    k = n + 2
+    perm = np.array(data.draw(st.permutations(range(k))))
+    moved = [replace(e, levels=tuple(int(perm[l - 1]) + 1 for l in e.levels)) for e in schedule]
+    p = np.eye(k, dtype=np.int64)[:, perm]
+    assert np.abs(compose(moved, k) - p @ compose(schedule, k) @ p.T).max() <= 1e-15
+    assert np.array_equal(path_counts(moved, k), p @ path_counts(schedule, k) @ p.T)
+
+
 @st.composite
 def _catalog_model(draw):
     family = draw(st.sampled_from(("lz2", "spin", "adjoint3", "bowtie3", "bowtieN", "su3six", "su3adj8")))

@@ -16,7 +16,6 @@ from lzscatter.numerics import (
     _expmi,
     _step_generators,
     commutator,
-    hermitian_eigs,
     propagate_unitary,
     unitarity_defect,
 )
@@ -53,138 +52,96 @@ def test_commutator_dimension_mismatch():
         commutator(np.eye(2), np.eye(3))
 
 
-def test_hermitian_eigs_diagonal():
-    w, v = hermitian_eigs(np.diag([1.0, -1.0]))
-    assert np.allclose(w, [-1.0, 1.0])
-    # eigenvector columns are standard basis vectors up to phase
-    assert np.allclose(np.abs(v), np.eye(2)[:, ::-1])
-    w3, _ = hermitian_eigs(np.diag([1.0, 0.0, -1.0]))
-    assert np.allclose(w3, [-1.0, 0.0, 1.0])
-
-
-def test_hermitian_eigs_sigma1():
-    w, v = hermitian_eigs(SIGMA1)
-    assert np.allclose(w, [-1.0, 1.0])
-    for col, val in zip(v.T, w):
-        assert np.allclose(SIGMA1 @ col, val * col, atol=1e-14)
-    assert np.allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)))
-
-
-def test_hermitian_eigs_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NonHermitianError, match="1.0"):
-        hermitian_eigs(bad)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 5), st.integers(0, 2 ** 32 - 1))
-def test_eigen_reconstruction(dim, seed):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = raw + raw.conj().T
-    w, v = hermitian_eigs(m)
-    rebuilt = (v * w) @ v.conj().T
-    assert np.abs(rebuilt - m).max() <= 1e-11 * np.abs(m).max()
-    assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-12
-
-
 def _random_hamiltonian(dim, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (raw + raw.conj().T) / 2
 
 
+def _rk_reference(a, b, t0, t1, rtol=1e-12, atol=1e-14):
+    # independent reference: an embedded Runge-Kutta pair on the flattened U
+    n = len(a)
+    sol = solve_ivp(lambda t, y: (-1j * (a + t * b) @ y.reshape(n, n)).ravel(), (t0, t1),
+                    np.eye(n, dtype=complex).ravel(), method="DOP853", rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y[:, -1].reshape(n, n)
+
+
 def test_magnus_matches_rk():
     h0 = _random_hamiltonian(3, 11)
     h1 = np.diag([1.0, -0.5, 2.0]).astype(complex)
-    hfun = lambda t: h0 + t * h1
     settings_ = OdeSettings(rtol=1e-10, atol=1e-12)
-    # independent reference: an embedded Runge-Kutta pair on the flattened U
-    sol = solve_ivp(lambda t, y: (-1j * hfun(t) @ y.reshape(3, 3)).ravel(), (-5.0, 5.0),
-                    np.eye(3, dtype=complex).ravel(), method="DOP853",
-                    rtol=settings_.rtol, atol=settings_.atol)
-    assert sol.success
-    u_rk = sol.y[:, -1].reshape(3, 3)
-    u_mag = propagate_unitary(hfun, -5.0, 5.0, settings_)
+    u_rk = _rk_reference(h0, h1, -5.0, 5.0, settings_.rtol, settings_.atol)
+    u_mag = propagate_unitary((h0, h1), -5.0, 5.0, settings_)
     assert np.abs(u_rk - u_mag).max() < 1e-7
 
 
 def test_magnus_unitary_at_loose_tolerance():
     h = _random_hamiltonian(4, 3)
-    hfun = lambda t: h + t * np.diag([1.0, 0.5, -0.5, -1.0])
-    u = propagate_unitary(hfun, -40.0, 40.0, OdeSettings(rtol=1e-6, atol=1e-8))
+    pair = (h, np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex))
+    u = propagate_unitary(pair, -40.0, 40.0, OdeSettings(rtol=1e-6, atol=1e-8))
     assert unitarity_defect(u) < 1e-11
 
 
 def test_magnus_reversibility():
-    h = _random_hamiltonian(3, 5)
-    hfun = lambda t: h * np.exp(-0.1 * t * t)
+    pair = (_random_hamiltonian(3, 5), 0.3 * _random_hamiltonian(3, 6))
     settings_ = OdeSettings(rtol=1e-10, atol=1e-12)
-    fwd = propagate_unitary(hfun, -3.0, 3.0, settings_)
-    back = propagate_unitary(hfun, 3.0, -3.0, settings_)
+    fwd = propagate_unitary(pair, -3.0, 3.0, settings_)
+    back = propagate_unitary(pair, 3.0, -3.0, settings_)
     assert np.abs(back @ fwd - np.eye(3)).max() <= 20 * settings_.rtol
 
 
+def test_propagate_refuses_a_callable():
+    # every family is affine; H(t) as a function has no step generator here
+    with pytest.raises(TypeError, match=r"the pair \(A, B\) of H\(t\) = A \+ t B, not a function"):
+        propagate_unitary(lambda t: SIGMA1 + t * SIGMA3, -1.0, 1.0)
+
+
 def test_magnus_divergence_reports_last_time():
-    # |H| = 1/(1 - t)^2 blows up at t = 1, so the step size underflows there
-    with pytest.raises(IntegrationDivergedError) as err:
-        propagate_unitary(lambda t: SIGMA1 / (1.0 - t) ** 2, 0.0, 2.0,
-                          OdeSettings(rtol=1e-10, atol=1e-12))
-    assert 0.9 < err.value.last_t <= 1.05
+    # the coupled gap of (sigma_x, sigma_z) grows like 2 |t|, so at rtol
+    # 1e-10 the proposed step falls below 1e-7 of the span [0, 1e5] near
+    # t = 136, long before the end
+    with pytest.raises(IntegrationDivergedError, match="step underflow") as err:
+        propagate_unitary((SIGMA1, SIGMA3), 0.0, 1e5, OdeSettings(rtol=1e-10, atol=1e-12))
+    assert 130.0 < err.value.last_t < 142.0
 
 
-def test_finite_time_singularity_fails_fast():
-    # the coupled gap grows like 1/(1 - t)^2, so the accepted steps shrink
-    # toward t = 1 without a rejection; they must end the run at the step
-    # floor, not crawl on for some 10^6 steps (over 50 s)
-    calls = []
-
-    def hfun(t):
-        calls.append(t)
-        return (SIGMA1 + t * SIGMA3) / (1.0 - t) ** 2
-
-    with pytest.raises(IntegrationDivergedError, match=r"at t = 0\.99") as err:
-        propagate_unitary(hfun, 0.0, 2.0, OdeSettings(rtol=1e-10))
-    assert 0.999 < err.value.last_t < 1.0
-    assert len(calls) < 60_000  # about 37k samples of H; some 5M before
+def test_finite_time_singularity_fails_fast(monkeypatch):
+    # the gap grows without bound, so the accepted steps shrink without a
+    # rejection; they must end the run at the step floor, not crawl on
+    # until the step cap meets it (about 136k steps, to t = 802)
+    runs = _record_blocks(monkeypatch)
+    with pytest.raises(IntegrationDivergedError, match=r"underflow at t = 13\d\.") as err:
+        propagate_unitary((SIGMA1, SIGMA3), 0.0, 1e5, OdeSettings(rtol=1e-10))
+    assert 130.0 < err.value.last_t < 142.0
+    (blocks, _, _), = runs
+    assert sum(len(t) for t, _ in blocks) < 15_000  # about 8.8k steps in 83 blocks
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_affine_pair_matches_callable(dim, seed, backward):
-    # the closed-form generator of H = A + tB against sampling H(t)
+def test_affine_pair_matches_rk(dim, seed, backward):
+    # the closed-form generator of H = A + tB against a tight DOP853 run
     rng = np.random.default_rng(seed)
     a = _random_hamiltonian(dim, seed)
     b = np.diag(rng.uniform(-2.0, 2.0, size=dim)).astype(complex)
     t0, t1 = (3.0, -3.0) if backward else (-3.0, 3.0)
     settings_ = OdeSettings(rtol=1e-8, atol=1e-10)
     u_pair = propagate_unitary((a, b), t0, t1, settings_)
-    u_call = propagate_unitary(lambda t: a + t * b, t0, t1, settings_)
-    assert np.abs(u_pair - u_call).max() <= 10 * settings_.rtol
+    assert np.abs(u_pair - _rk_reference(a, b, t0, t1)).max() <= 10 * settings_.rtol
 
 
 def test_step_generator_orders():
     # one full step of H = A + tB at t = 5 against a tight DOP853 reference:
-    # halving h divides the error by 2^7 for the sixth-order pair form and
-    # by 2^5 for the fourth-order callable form
+    # halving h divides the error by 2^7 for the sixth-order generator
     m = build_model("bowtie3", delta=0.3, slope=1.0, eps=1.0)
     a, b = m.a_of(), m.b
-
-    def reference(t, h):
-        sol = solve_ivp(lambda s, y: (-1j * (a + s * b) @ y.reshape(3, 3)).ravel(),
-                        (t, t + h), np.eye(3, dtype=complex).ravel(), method="DOP853",
-                        rtol=1e-13, atol=1e-15)
-        return sol.y[:, -1].reshape(3, 3)
-
     steps = (0.4, 0.2, 0.1, 0.05)
-    exact = [reference(5.0, h) for h in steps]
-    for form, order, (low, high) in (((a, b), 6, (100, 160)),
-                                     (lambda t: a + t * b, 4, (25, 40))):
-        _, generators, got_order, _ = _step_generators(form, 5.0)
-        assert got_order == order
-        errs = [np.abs(_expmi(generators(5.0, h))[0] - u).max() for h, u in zip(steps, exact)]
-        for coarse, fine in zip(errs, errs[1:]):
-            assert low <= coarse / fine <= high
+    exact = [_rk_reference(a, b, 5.0, 5.0 + h, 1e-13, 1e-15) for h in steps]
+    generators, _ = _step_generators((a, b), 5.0)
+    errs = [np.abs(_expmi(generators(5.0, h))[0] - u).max() for h, u in zip(steps, exact)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 100 <= coarse / fine <= 160
 
 
 def test_pair_step_respects_coupled_gap_cap():
@@ -193,7 +150,7 @@ def test_pair_step_respects_coupled_gap_cap():
     # stays below that, so a loose tolerance still meets its error
     m = build_model("spin", k=3, delta=0.5, slope=1.2)
     a, b = m.a_of(), m.b
-    _, _, _, max_step = _step_generators((a, b), 0.0)
+    _, max_step = _step_generators((a, b), 0.0)
     # spin k = 3 couples adjacent levels only; at large |t| their gap is
     # |t| times the slope difference
     gap = 100.0 * abs(b[0, 0] - b[1, 1]).real
@@ -201,24 +158,6 @@ def test_pair_step_respects_coupled_gap_cap():
     loose = OdeSettings(rtol=1e-6, atol=1e-8)
     tight = OdeSettings(rtol=1e-10, atol=1e-12)
     s_loose = np.abs(propagate_unitary((a, b), -100.0, 100.0, loose)) ** 2
-    s_tight = np.abs(propagate_unitary((a, b), -100.0, 100.0, tight)) ** 2
-    assert np.abs(s_loose - s_tight).max() <= 10 * loose.rtol
-
-
-def test_callable_step_respects_coupled_gap_cap():
-    # the callable form estimates the coupled gap from the step's two Gauss
-    # samples; for an affine H that is the pair form's cap exactly.  Without
-    # the cap this loose run missed the tight one by 1.6e-4
-    m = build_model("spin", k=3, delta=0.5, slope=1.2)
-    a, b = m.a_of(), m.b
-    hfun = lambda t: a + t * b
-    _, _, _, pair_cap = _step_generators((a, b), 0.0)
-    _, _, _, callable_cap = _step_generators(hfun, 0.0)
-    for t, h in ((100.0, 0.02), (-3.0, 0.5)):
-        assert callable_cap(t, h) == pytest.approx(pair_cap(t, h), rel=1e-9)
-    loose = OdeSettings(rtol=1e-6, atol=1e-8)
-    tight = OdeSettings(rtol=1e-10, atol=1e-12)
-    s_loose = np.abs(propagate_unitary(hfun, -100.0, 100.0, loose)) ** 2
     s_tight = np.abs(propagate_unitary((a, b), -100.0, 100.0, tight)) ** 2
     assert np.abs(s_loose - s_tight).max() <= 10 * loose.rtol
 
@@ -234,16 +173,16 @@ def test_block_cap_equals_step_cap():
     t = np.linspace(-120.0, 120.0, 97)
     h = np.geomspace(1e-4, 3.0, 97) * np.where(np.arange(97) % 2, 1.0, -1.0)
     for pair in ((a, b), (a[1], b[1])):
-        max_step = _step_generators(pair, 0.0)[3]
+        max_step = _step_generators(pair, 0.0)[1]
         block = max_step(t, h)
         alone = [max_step(t_j, h_j) for t_j, h_j in zip(t.tolist(), h.tolist())]
         assert all(type(cap) is float for cap in alone)
         assert np.array_equal(block, alone)
         assert np.array_equal(max_step(t.reshape(-1, 1), h.reshape(-1, 1)), block.reshape(-1, 1))
-    assert np.isinf(_step_generators((a[1], b[1]), 0.0)[3](t, h)).all()
+    assert np.isinf(_step_generators((a[1], b[1]), 0.0)[1](t, h)).all()
     # the stack's cap against 2 pi (|C| / |[H, [H, C]]|)^(1/2) of the
     # coupled member, H at each step's midpoint
-    stacked = _step_generators((a, b), 0.0)[3](t, h)
+    stacked = _step_generators((a, b), 0.0)[1](t, h)
     c = commutator(a[0], b[0])
     for cap, mid in zip(stacked, t + 0.5 * h):
         hm = a[0] + mid * b[0]
@@ -255,10 +194,9 @@ def test_step_cap_below_floor_raises():
     # a coupled gap near 1e14 caps the step near 6e-14, below 1e-7 of the
     # span: stepping on would take some 10^13 steps
     big = 1e14
-    for hfun in ((big * SIGMA1, big * SIGMA3), lambda t: big * (SIGMA1 + t * SIGMA3)):
-        with pytest.raises(IntegrationDivergedError, match="cap") as err:
-            propagate_unitary(hfun, 0.0, 1.0)
-        assert err.value.last_t == 0.0
+    with pytest.raises(IntegrationDivergedError, match="cap") as err:
+        propagate_unitary((big * SIGMA1, big * SIGMA3), 0.0, 1.0)
+    assert err.value.last_t == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -322,8 +260,8 @@ def test_stacked_pair_matches_members(t0, t1):
     stacked = propagate_unitary((a, b), t0, t1, settings_)
     assert stacked.shape == (3, 4, 4)
     # the shared step is capped by the member with the largest coupled gap
-    stacked_cap = _step_generators((a, b), 0.0)[3]
-    member_caps = [_step_generators((a_m, b_m), 0.0)[3] for a_m, b_m in zip(a, b)]
+    stacked_cap = _step_generators((a, b), 0.0)[1]
+    member_caps = [_step_generators((a_m, b_m), 0.0)[1] for a_m, b_m in zip(a, b)]
     for t in (t0, t1):
         expected = min(cap(t, 0.0) for cap in member_caps)
         assert stacked_cap(t, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -338,20 +276,17 @@ def test_non_finite_matrix_rejected():
     # passed it: eigh returned NaN vectors and propagation reported a step
     # underflow
     bad = np.array([[np.nan, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_eigs(bad)
     with pytest.raises(ValueError, match="A has non-finite"):
         propagate_unitary((bad, SIGMA3), 0.0, 1.0)
-    with pytest.raises(ValueError, match=r"H\(t0\) has non-finite"):
-        propagate_unitary(lambda t: bad + t * SIGMA3, 0.0, 1.0)
+    with pytest.raises(ValueError, match="B has non-finite"):
+        propagate_unitary((SIGMA1, bad), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("t0, t1", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0)])
 def test_propagate_rejects_non_finite_endpoints(t0, t1):
     # an infinite span never ends: every step size stays infinite
-    for hfun in ((SIGMA1, SIGMA3), lambda t: SIGMA1 + t * SIGMA3):
-        with pytest.raises(ValueError, match="finite"):
-            propagate_unitary(hfun, t0, t1)
+    with pytest.raises(ValueError, match="finite"):
+        propagate_unitary((SIGMA1, SIGMA3), t0, t1)
 
 
 def test_affine_pair_rejects_mismatched_shapes():
@@ -372,8 +307,6 @@ def test_propagate_rejects_non_hermitian():
     # each member of a stack is checked
     with pytest.raises(NonHermitianError, match="A is not Hermitian"):
         propagate_unitary((np.stack((SIGMA1, a)), np.stack((SIGMA3, SIGMA3))), -5.0, 5.0)
-    with pytest.raises(NonHermitianError, match=r"H\(t0\) is not Hermitian"):
-        propagate_unitary(lambda t: a + t * SIGMA3, -5.0, 5.0)
 
 
 
@@ -405,26 +338,26 @@ def test_stacked_expmi_matches_single_exponentials():
 
 def _record_blocks(monkeypatch):
     # one record per adaptive loop: the (t, h) arrays of every block it
-    # hands to `generators`, with that loop's generator map, order and cap
+    # hands to `generators`, with that loop's generator map and cap
     runs = []
     real = numerics._step_generators
 
-    def recording(hfun, t0, t1):
-        n, generators, order, max_step = real(hfun, t0, t1)
+    def recording(pair, t0, t1):
+        generators, max_step = real(pair, t0, t1)
         blocks = []
-        runs.append((blocks, generators, order, max_step))
+        runs.append((blocks, generators, max_step))
 
         def recorded(t, h):
             blocks.append((np.array(t, dtype=float), np.array(h, dtype=float)))
             return generators(t, h)
 
-        return n, recorded, order, max_step
+        return recorded, max_step
 
     monkeypatch.setattr(numerics, "_step_generators", recording)
     return runs
 
 
-def _replay(blocks, generators, order, max_step, t0, tol):
+def _replay(blocks, generators, max_step, t0, tol):
     """Accepted (t, h) steps of one loop, replaying the prefix rule.
 
     Checks that every block starts where the accepted steps end, that a
@@ -442,7 +375,7 @@ def _replay(blocks, generators, order, max_step, t0, tol):
         assert np.all(np.abs(h) <= caps * (1.0 + 1e-12))
         capped += int(np.sum(np.abs(h) >= 0.99 * caps))
         full, first, second = _expmi(generators(t, h))
-        err = np.abs(second @ first - full).reshape(len(t), -1).max(axis=1) / (2.0 ** order - 1)
+        err = np.abs(second @ first - full).reshape(len(t), -1).max(axis=1) / numerics._RICHARDSON
         passed = err <= tol
         prefix = len(t) if passed.all() else int(passed.argmin())
         accepted.extend(zip(t[:prefix], h[:prefix]))
@@ -453,7 +386,7 @@ def _replay(blocks, generators, order, max_step, t0, tol):
     return accepted, capped
 
 
-@pytest.mark.parametrize("form", ["pair", "outward", "stacked", "folded", "callable"])
+@pytest.mark.parametrize("form", ["pair", "outward", "stacked", "folded"])
 def test_block_schedule(monkeypatch, form):
     # the steps each block exponentiates, replayed: the accepted ones are
     # contiguous from t0 to t1, each passed its own Richardson estimate,
@@ -472,20 +405,19 @@ def test_block_schedule(monkeypatch, form):
                      np.stack([np.diag(rng.uniform(-2.0, 2.0, size=4)).astype(complex)
                                for _ in range(3)])), 5.0, 1.0, OdeSettings(rtol=1e-8, atol=1e-10)),
         "folded": ((a, b), -60.0, 80.0, loose),
-        "callable": (lambda t: a + t * b, -100.0, 100.0, loose),
     }
-    hfun, t0, t1, settings_ = cases[form]
+    pair, t0, t1, settings_ = cases[form]
     runs = _record_blocks(monkeypatch)
-    propagate_unitary(hfun, t0, t1, settings_)
+    propagate_unitary(pair, t0, t1, settings_)
     # the folded pair is a lockstep run of F and G from 0, then the longer
     # one finished alone
     starts = {"folded": [(0.0, 60.0), (60.0, 80.0)]}.get(form, [(t0, t1)])
     assert len(runs) == len(starts)
     tol = settings_.atol + settings_.rtol
     capped = 0
-    for (blocks, generators, order, max_step), (start, stop) in zip(runs, starts):
+    for (blocks, generators, max_step), (start, stop) in zip(runs, starts):
         assert len(blocks) < sum(len(t) for t, _ in blocks)
-        accepted, run_capped = _replay(blocks, generators, order, max_step, start, tol)
+        accepted, run_capped = _replay(blocks, generators, max_step, start, tol)
         capped += run_capped
         t_last, h_last = accepted[-1]
         assert t_last + h_last == pytest.approx(stop, rel=1e-15)
@@ -494,23 +426,23 @@ def test_block_schedule(monkeypatch, form):
         assert capped > 0
 
 
-@pytest.mark.parametrize("hfun, match", [
-    # |H| = 1/(1 - t)^2 blows up at t = 1: the step size underflows there
-    (lambda t: SIGMA1 / (1.0 - t) ** 2, "underflow"),
-    # the coupled gap jumps to ~1e14 past t = 0.5: the cap falls below the
-    # floor at the first step whose Gauss samples reach past it
-    (lambda t: SIGMA1 + t * (1e14 if t > 0.5 else 1.0) * SIGMA3, "cap"),
+@pytest.mark.parametrize("settings_, match, last_t", [
+    # the coupled gap of (sigma_x, sigma_z) grows like 2 |t|: at rtol 1e-10
+    # the proposed step falls below 1e-7 of the span [0, 1e5] near t = 136
+    (OdeSettings(rtol=1e-10, atol=1e-12), "step underflow", 136.0),
+    # at rtol 1e-6 the cap 2 pi / (2 t) meets that floor first, at t = 100 pi
+    (OdeSettings(rtol=1e-6, atol=1e-8), "cap below the underflow floor", 100.0 * np.pi),
 ], ids=["step-underflow", "cap-floor"])
-def test_block_divergence_reports_last_accepted_time(monkeypatch, hfun, match):
+def test_block_divergence_reports_last_accepted_time(monkeypatch, settings_, match, last_t):
     runs = _record_blocks(monkeypatch)
-    settings_ = OdeSettings(rtol=1e-6, atol=1e-8)
     with pytest.raises(IntegrationDivergedError, match=match) as err:
-        propagate_unitary(hfun, 0.0, 2.0, settings_)
-    (blocks, generators, order, max_step), = runs
-    accepted, _ = _replay(blocks, generators, order, max_step, 0.0, settings_.atol + settings_.rtol)
+        propagate_unitary((SIGMA1, SIGMA3), 0.0, 1e5, settings_)
+    (blocks, generators, max_step), = runs
+    accepted, _ = _replay(blocks, generators, max_step, 0.0, settings_.atol + settings_.rtol)
     t_last, h_last = accepted[-1]
     assert err.value.last_t == t_last + h_last
-    assert 0.45 < err.value.last_t <= 1.05
+    assert err.value.last_t == pytest.approx(last_t, rel=0.03)
+    assert len(blocks) < 200  # 83 and 143 blocks of up to 128 steps
 
 
 @settings(max_examples=8, deadline=None)
@@ -546,7 +478,7 @@ def test_random_pairs_meet_tolerance(dim, members, seed, through_zero, backward)
 
 def _stepped_members(runs):
     # the member count of every stack the recorded adaptive loops stepped
-    return [generators(0.0, 1.0).shape[1] for _, generators, _, _ in runs]
+    return [generators(0.0, 1.0).shape[1] for _, generators, _ in runs]
 
 
 def _base_pair(model):

@@ -39,8 +39,9 @@ def test_propagate_two_level_survival():
 
 def test_propagate_group_property():
     m = build_model("spin", k=3, delta=0.5, slope=1.0)
-    fwd = propagate_unitary(lambda t: m.hamiltonian(t), -30.0, 30.0, FAST)
-    back = propagate_unitary(lambda t: m.hamiltonian(t), 30.0, -30.0, FAST)
+    pair = (m.a_of(), m.b)
+    fwd = propagate_unitary(pair, -30.0, 30.0, FAST)
+    back = propagate_unitary(pair, 30.0, -30.0, FAST)
     assert np.abs(back @ fwd - np.eye(3)).max() <= 20 * FAST.rtol
 
 
