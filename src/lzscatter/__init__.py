@@ -34,11 +34,9 @@ from .crossings import (
     compose,
     derive_schedule_generic,
     lifted_smatrix,
-    local_smatrix,
     path_counts,
     schedule_bowtie3,
     schedule_bowtieN,
-    schedule_json,
     schedule_su3six,
 )
 from .zerocurv import CurvatureReport, curvature_residual, curvature_terms, verify_pair

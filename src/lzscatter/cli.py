@@ -5,13 +5,14 @@ exact and numerical routes, compare the routes, emit adiabatic spectra and
 parameter sweeps as CSV, verify the zero-curvature residual of partnered
 families, and append one record per successful invocation to a JSON-lines
 run ledger.  Both exact routes (``algebraic`` for the lifts of lz2,
-``crossings`` for those of the bow tie) are ``crossings.lifted_smatrix``.
+``crossings`` for those of the bow tie) are ``crossings.lifted_smatrix``,
+one product of rotation amplitudes, which serves the bow tie at any slope
+signs.
 
 Exit codes: 0 success, 1 validation failure (an invariant or comparison
-did not hold, including a computed probability below the clamp floor and
-an exact matrix with more than one event path between two levels), 2 input
-error (including a ``--T`` or ``--rtol`` the numeric route cannot meet),
-3 internal error (an unexpected exception, reported as
+did not hold, including a computed probability below the clamp floor), 2
+input error (including a ``--T`` or ``--rtol`` the numeric route cannot
+meet), 3 internal error (an unexpected exception, reported as
 ``internal error: <Class>: <message>``).
 """
 
@@ -184,8 +185,7 @@ def compute_smatrix(model: AffineModel, method, args):
         return result.s_num, meta
     if method != default_method(model):
         raise UsageError(f"method {method} unsupported for family {model.family!r}")
-    matrix, counts, events = crossings.lifted_smatrix(model)
-    _check_single_paths(counts)
+    matrix, events = crossings.lifted_smatrix(model)
     return matrix, ({"events": events} if method == "crossings" else {})
 
 
@@ -197,17 +197,6 @@ def _check_stochastic(matrix):
             f"scattering matrix violates double stochasticity: defect {defect:.3e}"
         )
     return defect
-
-
-def _check_single_paths(counts):
-    multi = np.argwhere(counts > 1)
-    if multi.size:
-        entries = ", ".join(f"({i + 1},{j + 1})" for i, j in multi)
-        raise ValidationFailure(
-            f"crossings route: entries {entries} are reached by more than one "
-            "path of crossing events, whose interference the product of "
-            "probability blocks drops; use --method numeric"
-        )
 
 
 def cmd_model_show(args):

@@ -3,15 +3,20 @@
 With a valid flow partner E, the sweep can be rerouted through a
 three-segment rectangular detour in the (t, eps) plane whose corners sit
 at |t| = R with R formally infinite.  Along the detour every level
-crossing is localized and no relative phase survives between crossings,
-so S factorizes into elementary blocks, latest crossing leftmost
-(``S[i, j] = P(j -> i)``), exactly where every pair of levels is joined
-by at most one path of events (``path_counts``).
+crossing is localized, and each is one su(2) rotation
+``exp(-i beta J_x)``, Majorana's solution applied locally.
+``lifted_smatrix`` multiplies the rotation amplitudes, latest crossing
+leftmost, and returns ``S = |prod_e exp(-i beta_e J_x^e)|^2``
+(``S[i, j] = P(j -> i)``).  Where two paths of events join a pair of
+levels (``bowtieN`` with same-sign slopes) the product keeps their
+interference, which is not derived but held to propagation by a test.
+``compose`` multiplies the probability blocks ``|exp(-i beta J_x)|^2``,
+exact only where every pair of levels is joined by at most one path of
+events (``path_counts``).
 
-Each block is one su(2) rotation ``|exp(-i beta J_x)|^2``, Majorana's
-solution applied locally.  Near the crossing its coupled levels see
-``tau diag(s) + G``; with ``J_z`` the slopes about their midpoint in units
-of their common spacing and ``c J_x = G``, the block is an su(2) image
+Near a crossing its coupled levels see ``tau diag(s) + G``; with ``J_z``
+the slopes about their midpoint in units of their common spacing and
+``c J_x = G``, the block is an su(2) image
 exactly when ``[J_x, J_y] = i J_z`` for ``J_y = -i [J_z, J_x]``, and
 ``cos(beta) = 2u - 1`` with ``u = exp(-pi c^2 / (2 spacing))``.  A pair is
 spin 1/2, a sloped pair meeting a flat level midway spin 1, and levels
@@ -43,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .laxflow import clamp_probabilities, rotation_probabilities, survival_weight
+from .laxflow import clamp_probabilities, rotation, survival_weight
 from .models import SU2, AffineModel, SingularPartnerError, bowtieN_lists, lift
 
 # samples per path segment used to bracket gap sign changes
@@ -191,21 +196,6 @@ class CrossingEvent:
     def u_eff(self) -> float:
         return math.exp(-self.exponent)
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "index": self.index,
-            "t_over_R": self.t_over_r,
-            "eps_over_R": self.eps_over_r,
-            "levels": list(self.levels),
-            "delta_eff": self.delta_eff,
-            "slope_eff": self.slope_eff,
-            "kind": self.kind,
-        }
-        if self.flat_levels is not None:
-            out["flat_levels"] = list(self.flat_levels)
-            out["bright_weights"] = list(self.bright_weights)
-        return out
-
 
 def default_path(model: AffineModel):
     """Rectangular detour: up at t = -R, across, down at t = +R.
@@ -250,26 +240,20 @@ def default_path(model: AffineModel):
     )
 
 
-def local_smatrix(event: CrossingEvent, k: int) -> np.ndarray:
-    """Embed the event's rotation ``|exp(-i beta J_x)|^2`` into a k x k probability matrix."""
-    levels = [int(l) for l in event.levels]
-    if len(set(levels)) != len(levels) or any(not 1 <= l <= k for l in levels):
-        raise ValueError(f"malformed level list {event.levels} for dimension {k}")
-    s = np.eye(k)
-    idx = [l - 1 for l in levels]
-    beta = math.acos(2.0 * event.u_eff - 1.0)
-    s[np.ix_(idx, idx)] = rotation_probabilities(np.array(event.jx), beta)
-    return s
-
-
 def compose(schedule, k: int) -> np.ndarray:
-    """Total scattering matrix: product of local blocks, latest leftmost.
+    """Product of the events' probability blocks ``|exp(-i beta J_x)|^2``, latest leftmost.
 
-    An empty schedule composes to the identity.
+    Exact only where ``path_counts`` is at most 1 (module docstring).  An
+    empty schedule composes to the identity.
     """
     total = np.eye(k)
     for event in schedule:
-        total = local_smatrix(event, k) @ total
+        jx = _embedded_jx(event, k)
+        idx = [l - 1 for l in event.levels]
+        s = np.eye(k)
+        beta = math.acos(2.0 * event.u_eff - 1.0)
+        s[np.ix_(idx, idx)] = np.abs(rotation(jx[np.ix_(idx, idx)], beta)) ** 2
+        total = s @ total
     return clamp_probabilities(total)
 
 
@@ -281,16 +265,24 @@ def path_counts(schedule, k: int) -> np.ndarray:
     connects (a dark level of the rotation too, a trivial event none).
     ``compose`` is exact only where every entry is at most 1: with two paths
     the true probability carries their interference, which a product of
-    probability blocks drops (same-sign ``bowtieN`` slopes).  ``compose``
-    and ``derive_schedule_generic`` do not check this; the CLI refuses them.
+    probability blocks drops (same-sign ``bowtieN`` slopes).
     """
-    return _path_product([_embedded_jx(event, k) for event in schedule], k)
+    total = np.eye(k, dtype=np.int64)
+    for event in schedule:
+        step = np.eye(k, dtype=np.int64)
+        for comp in _coupled_components(_embedded_jx(event, k)):
+            step[np.ix_(comp, comp)] = 1
+        total = step @ total
+    return total
 
 
 def _embedded_jx(event: CrossingEvent, k: int) -> np.ndarray:
-    # the event's J_x as a k x k matrix, zero off its levels
+    # the event's J_x as a k x k matrix, zero off its levels, which must be
+    # distinct and in 1..k
+    idx = [int(l) - 1 for l in event.levels]
+    if len(set(idx)) != len(idx) or any(not 0 <= i < k for i in idx):
+        raise ValueError(f"malformed level list {event.levels} for dimension {k}")
     jx = np.zeros((k, k), dtype=complex)
-    idx = [l - 1 for l in event.levels]
     jx[np.ix_(idx, idx)] = event.jx
     return jx
 
@@ -301,40 +293,29 @@ def _coupled_components(j):
     return [c for c in _components(range(len(j)), edges) if len(c) > 1]
 
 
-def _path_product(blocks, k: int) -> np.ndarray:
-    # path_counts of k x k rotation generators J: each joins the levels it connects
-    total = np.eye(k, dtype=np.int64)
-    for j in blocks:
-        step = np.eye(k, dtype=np.int64)
-        for comp in _coupled_components(j):
-            step[np.ix_(comp, comp)] = 1
-        total = step @ total
-    return total
-
-
 def lifted_smatrix(model: AffineModel):
     """Exact S of a catalog model from its base's closed-form crossing events.
 
     lz2 has one event, ``J_x = X_2`` at its survival weight u, the bow tie
-    those of ``schedule_bowtieN``.  S is the product, latest leftmost, of the
-    rotations ``|exp(-i beta lift(J_x, model.rep))|^2``, ``cos(beta) = 2u - 1``.
-    Returns S (clamped as by ``compose``), the ``path_counts`` of the lifted
-    blocks and the number of base events.
+    those of ``schedule_bowtieN``.  ``S = |U|^2`` for the product U, latest
+    leftmost, of the rotations ``exp(-i beta lift(J_x, model.rep))``,
+    ``cos(beta) = 2u - 1``, one per coupled component of the image.
+    Returns S and the number of base events.
     """
     if model.has_partner:
         schedule = schedule_bowtieN(model.delta, model.slope, model.eps)
         base = [(_embedded_jx(e, len(schedule) // 2 + 2), e.u_eff) for e in schedule]
     else:
         base = [(SU2[0], survival_weight(model.delta, model.slope))]
-    # real_if_close, not .real: the adjoint image of a real J_x is complex
-    blocks = [np.real_if_close(lift(jx, model.rep)) for jx, _ in base]
-    total = np.eye(model.k)
-    for j, (_, u) in zip(blocks, base):
-        step, beta = np.eye(model.k), math.acos(2.0 * u - 1.0)
+    total = np.eye(model.k, dtype=complex)
+    for jx, u in base:
+        # real_if_close, not .real: the adjoint image of a real J_x is complex
+        j = np.real_if_close(lift(jx, model.rep))
+        step, beta = np.eye(model.k, dtype=complex), math.acos(2.0 * u - 1.0)
         for idx in _coupled_components(j):
-            step[np.ix_(idx, idx)] = rotation_probabilities(j[np.ix_(idx, idx)], beta)
+            step[np.ix_(idx, idx)] = rotation(j[np.ix_(idx, idx)], beta)
         total = step @ total
-    return clamp_probabilities(total), _path_product(blocks, model.k), len(base)
+    return np.abs(total) ** 2, len(base)
 
 
 def _pair_event(index, t_over_r, eps_over_r, level_pair, coupling, slope_eff):
@@ -401,11 +382,6 @@ def schedule_su3six(delta: float, a: float, eps: float):
         _pair_event(6, 1.0, a, (2, 5), d / a, 0.5 / a),
         CrossingEvent.from_block(7, 1.0, a, (1, 6, 4), *three),
     ]
-
-
-def schedule_json(schedule) -> list:
-    """JSON-ready export of an ordered schedule."""
-    return [event.to_json_dict() for event in schedule]
 
 
 # --- generic derivation -----------------------------------------------------

@@ -4,8 +4,10 @@ The asymptotic flow matrix of the k-level spin-family sweep is the
 rotated ``-Z`` with ``v3 = 1 - 2u``, so the transition-probability matrix
 is one rotation: ``S = |d^j(beta)|^2`` entrywise, the Wigner small-d matrix
 of spin j = (k-1)/2 at ``cos(beta) = 2u - 1`` (Majorana's solution), with
-u the two-level survival weight.  It takes one ``eigh`` of the k x k
-spin matrix X at any k.  Entry convention throughout the package:
+u the two-level survival weight.  ``rotation`` returns the amplitude
+``exp(-i beta J)`` of any image J of ``J_x`` from one ``eigh`` of J at any
+k; ``crossings`` multiplies these amplitudes event by event.  Entry
+convention throughout the package:
 ``S[i, j]`` is the probability of arriving in diabatic level ``i`` having
 started in diabatic level ``j`` (levels ordered by descending sweep
 slope), so S is doubly stochastic and columns are probability vectors.
@@ -120,11 +122,11 @@ def smatrix_spin(k: int, delta: float, a: float) -> np.ndarray:
     beta = math.acos(2.0 * survival_weight(delta, a) - 1.0)
     # Y = R X R^dag with R diagonal, so |exp(-i beta Y)| = |exp(-i beta X)|;
     # a real eigh of X is more accurate than a complex eigh of Y
-    return rotation_probabilities(lift(SU2[0], _spin_sym(k)).real, beta)
+    return np.abs(rotation(lift(SU2[0], _spin_sym(k)).real, beta)) ** 2
 
 
-def rotation_probabilities(jx: np.ndarray, beta: float) -> np.ndarray:
-    """``|exp(-i beta J)|^2`` entrywise for the Hermitian image J of an su(2) generator.
+def rotation(jx: np.ndarray, beta: float) -> np.ndarray:
+    """``exp(-i beta J)`` for the Hermitian image J of an su(2) generator.
 
     One ``eigh`` of J, with its eigenvalues rounded to the half-integer
     ladder that J has in every representation of su(2), so the rotation
@@ -134,8 +136,7 @@ def rotation_probabilities(jx: np.ndarray, beta: float) -> np.ndarray:
     if beta == 0.0:
         return np.eye(len(jx))
     w, vecs = np.linalg.eigh(jx)
-    d = (vecs * np.exp(-1j * beta * (np.round(2.0 * w) / 2.0))) @ vecs.conj().T
-    return np.abs(d) ** 2
+    return (vecs * np.exp(-1j * beta * (np.round(2.0 * w) / 2.0))) @ vecs.conj().T
 
 
 def first_row_element(n: int, delta: float, a: float, j: int) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lzscatter import cli, crossings
+from lzscatter import cli, crossings, laxflow
 from lzscatter.cli import main
 from lzscatter.laxflow import first_row_element, lz_closed_form, smatrix_spin
 from lzscatter.models import model_from_descriptor
@@ -553,28 +553,37 @@ def test_bowtien_descriptor_lists(tmp_path, capsys):
 INTERFERING_BOWTIEN = ["--family", "bowtieN", "--delta", "0.25,0.25", "--slope", "0.6,1.2"]
 
 
-@pytest.mark.parametrize("eps, entries", [("1", "(1,2), (1,3), (3,2), (3,3)"),
-                                          ("-1", "(2,1), (2,3), (3,1), (3,3)")])
-def test_bowtien_interfering_paths_exit_1(tmp_path, capsys, eps, entries):
-    # same-sign slopes join four (end, start) pairs by two event paths each
+@pytest.mark.parametrize("eps", ["1", "-1"])
+def test_bowtien_interfering_paths_exit_0(tmp_path, capsys, eps):
+    # same-sign slopes join four (end, start) pairs by two event paths each;
+    # the crossings route multiplies amplitudes, so it serves them too
     ledger = tmp_path / "l.jsonl"
-    code, _, err = run(capsys, "smatrix", *INTERFERING_BOWTIEN, "--eps", eps,
+    code, out, err = run(capsys, "smatrix", *INTERFERING_BOWTIEN, "--eps", eps,
+                         "--ledger", str(ledger))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["events"] == 4
+    model = model_from_descriptor(payload["params"])
+    assert crossings.path_counts(crossings.schedule_bowtieN(model.delta, model.slope, model.eps),
+                                 model.k).max() == 2
+    assert payload["matrix"] == crossings.lifted_smatrix(model)[0].tolist()
+    assert len(ledger.read_text().splitlines()) == 1
+
+
+def test_bowtien_interfering_paths_sweep_and_compare_exit_0(tmp_path, capsys):
+    # the probability product is off by 0.14 here, beyond the compare tolerance
+    ledger = tmp_path / "l.jsonl"
+    code, out, _ = run(capsys, "sweep", *INTERFERING_BOWTIEN, "--eps", "0.5:1.5:0.5",
                        "--ledger", str(ledger))
-    assert code == 1
-    assert err.startswith(f"FAIL: crossings route: entries {entries} ")
-    assert "--method numeric" in err
-    assert not ledger.exists()
-
-
-def test_bowtien_interfering_paths_sweep_and_compare_exit_1(tmp_path, capsys):
-    ledger = tmp_path / "l.jsonl"
-    for extra in (["sweep", "--eps", "0.5:1.5:0.5"],
-                  ["compare", "--eps", "1", "--methods", "crossings", "numeric"]):
-        code, _, err = run(capsys, extra[0], *INTERFERING_BOWTIEN, *extra[1:],
-                           "--ledger", str(ledger))
-        assert code == 1
-        assert err.startswith("FAIL: crossings route: entries (1,2), (1,3)")
-    assert not ledger.exists()
+    assert code == 0
+    assert len(out.splitlines()) == 3
+    code, out, _ = run(capsys, "compare", *INTERFERING_BOWTIEN, "--eps", "1",
+                       "--methods", "crossings", "numeric", "--T", "200", "--ledger", str(ledger))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["pairs"][0]["max_deviation"] < 1e-2
+    assert len(ledger.read_text().splitlines()) == 2
 
 
 def test_internal_error_exit_3_writes_no_record(tmp_path, capsys, monkeypatch):
@@ -596,9 +605,10 @@ def test_internal_error_exit_3_writes_no_record(tmp_path, capsys, monkeypatch):
 def test_negative_probability_exit_1_writes_no_record(tmp_path, capsys, monkeypatch):
     # a computed matrix below the clamp floor breaks an invariant: exit 1,
     # not the exit 2 of bad input
-    # each of bowtie3's two pair blocks turns into this; their product holds -0.75
-    bad = np.array([[1.5, -0.5], [-0.5, 1.5]])
-    monkeypatch.setattr(crossings, "rotation_probabilities", lambda jx, beta: bad)
+    def negative(model):
+        return laxflow.clamp_probabilities(np.array([[1.75, -0.75], [-0.75, 1.75]])), 2
+
+    monkeypatch.setattr(crossings, "lifted_smatrix", negative)
     ledger = tmp_path / "l.jsonl"
     code, _, err = run(
         capsys, "smatrix", "--family", "bowtie3", "--delta", "0.3", "--slope", "1",

@@ -16,16 +16,15 @@ from lzscatter.crossings import (
     brentq,
     compose,
     derive_schedule_generic,
-    local_smatrix,
     path_counts,
     schedule_bowtie3,
     schedule_bowtieN,
-    schedule_json,
     schedule_su3six,
 )
 from lzscatter.crossings import UnsupportedCrossingError
 from lzscatter.laxflow import smatrix_spin, stochastic_defect
-from lzscatter.models import SU2, MissingPartnerError, SingularPartnerError, build_model, lift
+from lzscatter.models import (SU2, MissingPartnerError, SingularPartnerError, build_model, lift,
+                              lift_unitary)
 from lzscatter.numerics import OdeSettings, propagate_unitary
 from lzscatter.oracle import numeric_smatrix, propagate
 from lzscatter.zerocurv import verify_pair
@@ -180,7 +179,7 @@ def test_event_solve_is_scale_free(coupling):
 
 def test_local_smatrix_two_level_embedding():
     event = schedule_bowtie3(0.3, 1.0, 1.0)[0]
-    s = local_smatrix(event, 3)
+    s = compose([event], 3)
     p = math.exp(-2 * math.pi * 0.09)
     expect = np.array([[1, 0, 0], [0, p, 1 - p], [0, 1 - p, p]])
     assert np.abs(s - expect).max() < 1e-15
@@ -188,7 +187,7 @@ def test_local_smatrix_two_level_embedding():
 
 def test_local_smatrix_three_level_embedding():
     event = schedule_su3six(0.2, 0.4, 1.0)[1]  # levels (6, 3, 5)
-    s = local_smatrix(event, 6)
+    s = compose([event], 6)
     u = event.u_eff
     v = 1 - u
     # sloped pair 6, 3; flat 5 (0-based 5, 2, 4)
@@ -213,7 +212,7 @@ def test_local_smatrix_reduced_block_is_stochastic():
     assert (event.kind, event.flat_levels) == ("three-level", (1, 2))
     assert (event.delta_eff, event.slope_eff) == (pytest.approx(0.7, rel=1e-15), 2.5)
     assert event.bright_weights == pytest.approx((0.75, 0.25), rel=1e-15)
-    s = local_smatrix(event, 8)
+    s = compose([event], 8)
     assert stochastic_defect(s) < 1e-14
     u = event.u_eff
     v = 1 - u
@@ -225,7 +224,18 @@ def test_local_smatrix_reduced_block_is_stochastic():
 def test_local_smatrix_rejects_malformed_levels():
     event = schedule_bowtie3(0.3, 1.0, 1.0)[0]
     with pytest.raises(ValueError, match="malformed"):
-        local_smatrix(event, 2)
+        compose([event], 2)
+
+
+@pytest.mark.parametrize("levels, k", [((0, 1), 3), ((1, 1), 3), ((2, 4), 3)],
+                         ids=["zero", "repeat", "above-k"])
+def test_path_counts_rejects_malformed_levels(levels, k):
+    # level 0 would wrap to level k, and a repeated level would join nothing
+    event = replace(schedule_bowtie3(0.3, 1.0, 1.0)[0], levels=levels)
+    with pytest.raises(ValueError, match=re.escape(f"malformed level list {levels} for dimension {k}")):
+        path_counts([event], k)
+    with pytest.raises(ValueError, match="malformed level list"):
+        compose([event], k)
 
 
 def test_compose_bowtie3_factorization():
@@ -251,8 +261,8 @@ def test_compose_strong_coupling_limit_is_permutation():
 def test_commuting_simultaneous_events():
     events = schedule_su3six(0.2, 0.4, 1.0)
     a, b = events[0], events[1]  # same path point, disjoint levels
-    left = local_smatrix(a, 6) @ local_smatrix(b, 6)
-    right = local_smatrix(b, 6) @ local_smatrix(a, 6)
+    left = compose([b, a], 6)
+    right = compose([a, b], 6)
     assert np.array_equal(left, right)
 
 
@@ -318,7 +328,7 @@ def _catalog_model(draw):
 # a subnormal coupling: normalising it must not overflow
 @example({"family": "bowtie3", "eps": -1.0, "delta": 5e-324, "slope": 1.0})
 def test_lifted_smatrix_is_doubly_stochastic_and_identity_uncoupled(kwargs):
-    s, _counts, events = crossings.lifted_smatrix(build_model(**kwargs))
+    s, events = crossings.lifted_smatrix(build_model(**kwargs))
     assert stochastic_defect(s) <= 1e-14
     assert s.min() >= 0.0
     # lz2 has one crossing, the bow tie two per sweeping level
@@ -347,9 +357,10 @@ def test_path_counts():
 
 @pytest.mark.parametrize("eps", [1.0, -1.0])
 def test_interfering_bowtien_entries_disagree_with_propagation(eps):
-    # same-sign slopes: the product of probability blocks misses exactly
-    # the entries that two event paths join, which is why the CLI refuses
-    # these cases; every other entry passes the compare rule
+    # same-sign slopes: compose, a product of probability blocks, misses
+    # exactly the entries that two event paths join, whose interference only
+    # the amplitude product of lifted_smatrix keeps; every other entry passes
+    # the compare rule
     m = build_model("bowtieN", delta=[0.25, 0.25], slope=[0.6, 1.2], eps=eps)
     schedule = derive_schedule_generic(m)
     counts = path_counts(schedule, 4)
@@ -614,7 +625,7 @@ def test_cluster_without_degenerate_record_is_spin_one_plus_dark():
     block[:2, 2:] = 2 * u * v * w
     block[2:, :2] = block[:2, 2:].T
     block[2:, 2:] = np.diag((1 - 2 * v * w) ** 2) + 4 * v * v * w[0] * w[1] * (1 - np.eye(2))
-    assert np.abs(local_smatrix(same, 4)[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])] - block).max() < 1e-15
+    assert np.abs(compose([same], 4)[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])] - block).max() < 1e-15
 
 
 def test_equal_slope_pair_is_a_bright_two_level_crossing():
@@ -632,7 +643,7 @@ def test_equal_slope_pair_is_a_bright_two_level_crossing():
     block = [[u, (1 - u) / 2, (1 - u) / 2],  # levels 3, 1, 2
              [(1 - u) / 2, (1 + r) ** 2 / 4, (1 - r) ** 2 / 4],
              [(1 - u) / 2, (1 - r) ** 2 / 4, (1 + r) ** 2 / 4]]
-    assert np.abs(local_smatrix(bright, 3)[np.ix_([2, 0, 1], [2, 0, 1])] - block).max() < 1e-15
+    assert np.abs(compose([bright], 3)[np.ix_([2, 0, 1], [2, 0, 1])] - block).max() < 1e-15
 
 
 def _spin_block(two_j, mid, spacing, c, seed, dark):
@@ -686,7 +697,7 @@ def test_su2_event_is_the_spin_rotation(two_j, mid, spacing, c, seed, dark):
     event = CrossingEvent.from_block(1, 0.0, 1.0, range(1, n + 1), slopes, g)
     assert event.exponent == pytest.approx(math.pi * c * c / (2.0 * spacing), rel=1e-12)
     assert event.kind == {2: "two-level", 3: "three-level"}.get(two_j + 1, f"{two_j + 1}-level")
-    s = local_smatrix(event, n)
+    s = compose([event], n)
     assert np.abs(s - expected).max() < 1e-13
     assert stochastic_defect(s) < 1e-13
 
@@ -729,7 +740,7 @@ def _sym_lift(model, p):
 
 
 def _adiabatic_readout(model, u, t_final):
-    """``|V(T)^dag U V(-T)|^2``, each eigenvector of H(+-T) labelled by its dominant level."""
+    """``V(T)^dag U V(-T)``, each eigenvector of H(+-T) labelled by its dominant level."""
     frames = []
     for t in (-t_final, t_final):
         _, vecs = np.linalg.eigh(model.hamiltonian(t))
@@ -738,7 +749,7 @@ def _adiabatic_readout(model, u, t_final):
         frame = np.empty_like(vecs)
         frame[:, label] = vecs
         frames.append(frame)
-    return np.abs(frames[1].conj().T @ u @ frames[0]) ** 2
+    return frames[1].conj().T @ u @ frames[0]
 
 
 @pytest.mark.parametrize("delta, slope", [(0.3, 1.0), (0.5, 1.6)])
@@ -758,7 +769,36 @@ def test_sym3_bowtie3_composes_to_its_propagation(delta, slope, eps):
     u_base = propagate_unitary((base.a_of(), base.b), -200.0, 200.0,
                                OdeSettings(rtol=1e-8, atol=1e-10))
     u = expm(lift(logm(u_base), ("sym", 3)))
-    assert np.abs(_adiabatic_readout(model, u, 200.0) - compose(events, model.k)).max() <= 1e-5
+    s_num = np.abs(_adiabatic_readout(model, u, 200.0)) ** 2
+    assert np.abs(s_num - compose(events, model.k)).max() <= 1e-5
+
+
+@st.composite
+def _bowtien_args(draw):
+    # 2 or 3 sweeping levels with free slope signs, so two event paths often
+    # join a pair of levels (always with 3: two slopes share a sign).  The
+    # finite-T error of the readout grows as |eps| falls: over these ranges
+    # it stayed below 2e-6 at T = 200, and below 2e-4 down to |eps| = 0.2
+    n = draw(st.integers(2, 3))
+    mags = np.cumsum(draw(st.lists(st.floats(0.4, 1.5), min_size=n, max_size=n)))
+    slopes = [draw(st.sampled_from((-1.0, 1.0))) * float(m) for m in mags]
+    deltas = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    return deltas, slopes, draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1.5, 3.0))
+
+
+@settings(max_examples=8, deadline=None)
+@given(_bowtien_args())
+@example(([0.25, 0.25], [0.6, 1.2], 1.0))
+def test_lifted_smatrix_keeps_the_interference_of_event_paths(args):
+    # the product of rotation amplitudes against the base's propagation, read
+    # out in the base's adiabatic frames and lifted (lifted levels can share
+    # a slope, so their own frames need not be labelled by one level each)
+    base = build_model("bowtieN", delta=args[0], slope=args[1], eps=args[2])
+    u = propagate_unitary((base.a_of(), base.b), -200.0, 200.0, OdeSettings(rtol=1e-10, atol=1e-12))
+    amplitude = _adiabatic_readout(base, u, 200.0)
+    for model, rep in ((base, None), (_sym_lift(base, 2), ("sym", 2)), (_sym_lift(base, 3), ("sym", 3))):
+        expected = np.abs(lift_unitary(amplitude, rep)) ** 2
+        assert np.abs(crossings.lifted_smatrix(model)[0] - expected).max() <= 1e-5
 
 
 def test_sym4_bowtie3_derives():
@@ -811,18 +851,3 @@ def test_detour_refuses_eps_beyond_its_float_range(family, delta, slope, sign):
             build_model(family, delta=delta, slope=slope, eps=sign * limits[0]))
     assert [(e.levels, e.kind) for e in far] == [
         (e.levels, e.kind) for e in derive_schedule_generic(near)]
-
-
-def test_schedule_json_fields():
-    blob = schedule_json(schedule_su3six(0.2, 0.4, 1.0))
-    assert [e["index"] for e in blob] == list(range(1, 8))
-    for entry in blob:
-        assert set(entry) >= {
-            "index", "t_over_R", "eps_over_R", "levels", "delta_eff",
-            "slope_eff", "kind",
-        }
-    m = build_model("su3adj8", delta=0.2, slope=0.4, eps=1.0)
-    blob8 = schedule_json(derive_schedule_generic(m))
-    reduced = [e for e in blob8 if "flat_levels" in e]
-    assert len(reduced) == 1
-    assert reduced[0]["bright_weights"] == pytest.approx([0.75, 0.25], abs=1e-9)
