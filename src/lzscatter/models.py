@@ -106,14 +106,19 @@ def lift(x, rep):
 def unlift(x, rep):
     """The preimage under ``lift`` of a k x k matrix, or of a stack of them.
 
-    Returns the n x n y (a stack for a stack) with ``lift(y, rep) = x``, one
-    matmul of x against the pseudo-inverse of the elementary images, or None
-    when no n >= 2 lifts to dimension k (``comb(n + p - 1, p)`` for
+    Returns the n x n y (a stack for a stack) with ``lift(y, rep) = x``, or
+    None when no n >= 2 lifts to dimension k (``comb(n + p - 1, p)`` for
     ``("sym", p)``, ``n^2 - 1`` for ``"adjoint"``) or ``lift(y, rep)`` misses
-    a member of x by more than 1e-12 of its largest entry.  The adjoint maps
-    the identity to zero, so its y is traceless, which moves a propagator of
-    y by a global phase only.  ``rep=None`` returns ``x``; a rep that ``lift``
-    refuses raises.
+    a member of x by more than 1e-12 of its largest entry.  Each ``y_ij`` is
+    read off one entry of x that ``rho(E_ij)`` alone reaches, divided by
+    its image there; a diagonal with no such entry (the adjoint maps the
+    identity to zero) is the mean of the differences ``y_ii - y_bb`` read
+    off the entries only ``rho(E_ii)`` and ``rho(E_bb)`` reach, so the
+    adjoint's y is traceless, which moves a propagator of y by a global
+    phase only.  Each entry of y is then one or a few roundings of entries
+    of x: a pair that a signed level permutation maps to its mirror in the
+    lift keeps that symmetry bit for bit in the base.  ``rep=None``
+    returns ``x``; a rep that ``lift`` refuses raises.
     """
     x = np.asarray(x)
     if rep is None:
@@ -122,15 +127,36 @@ def unlift(x, rep):
     n = next(n for n in itertools.count(2) if _elementary_images(n, rep).shape[-1] >= k)
     if _elementary_images(n, rep).shape[-1] != k:
         return None
-    y = (x.reshape(*x.shape[:-2], k * k) @ _preimage_map(n, rep)).reshape(*x.shape[:-2], n, n)
+    entries, weights = _preimage_reads(n, rep)
+    y = (x.reshape(*x.shape[:-2], k * k)[..., entries] * weights).sum(axis=-1).reshape(*x.shape[:-2], n, n)
     miss = np.abs(lift(y, rep) - x).max(axis=(-2, -1))
     return y if np.all(miss <= 1e-12 * np.abs(x).max(axis=(-2, -1))) else None
 
 
 @functools.lru_cache(maxsize=None)
-def _preimage_map(n, rep):
-    # the (k^2, n^2) pseudo-inverse of the images as rows rho(E_ij), i.e. of lift
-    return _frozen(np.linalg.pinv(_elementary_images(n, rep).reshape(n * n, -1)))
+def _preimage_reads(n, rep):
+    # (entries, weights), both (n^2, n - 1): y_ij = sum_r x.flat[entries[ij, r]] weights[ij, r]
+    images = _elementary_images(n, rep).reshape(n * n, -1)
+    reached = images != 0.0
+    count = reached.sum(axis=0)
+    entries = np.zeros((n * n, n - 1), dtype=int)
+    weights = np.zeros((n * n, n - 1), dtype=images.dtype)
+    for q in range(n * n):
+        own = np.flatnonzero(reached[q] & (count == 1))
+        if own.size:
+            entries[q, 0] = own[0]
+            weights[q, 0] = 1.0 / images[q, own[0]]
+            continue
+        # a diagonal E_ii with no entry of its own: y_ii - y_bb from an entry
+        # that only E_ii and E_bb reach, with opposite images
+        i = q // (n + 1)
+        for r, other in enumerate(b * (n + 1) for b in range(n) if b != i):
+            pair = reached[q] & reached[other] & (count == 2) & (images[q] == -images[other])
+            column = np.flatnonzero(pair)[0]
+            entries[q, r] = column
+            weights[q, r] = 1.0 / (n * images[q, column])
+    entries.flags.writeable = False
+    return entries, _frozen(weights)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,39 +12,50 @@ hundred time units.
 The propagator takes a pair ``(A, B)`` standing for the affine ``H(t) =
 A + t B`` of every catalog family.  Then ``[H(t1), H(t2)] = (t2 - t1)
 [A, B]``, and the Magnus series of a step ``[t, t + h]`` truncated at
-sixth order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), their
-Omega^[6] with alpha_3 = 0) is exactly
+eighth order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) is,
+with ``X = H(t_m) = A + t_m B`` at the midpoint ``t_m = t + h / 2``, ``Y =
+B``, ``C = [X, Y] = [A, B]`` and ``ad_X Z = [X, Z]``, exactly
 
-    h A + h t_m B + (i h^3 / 12) C + (h^5 / 240) [B, C]
-        + (i h^5 / 720) ([A, [A, C]] + 2 t_m [B, [A, C]] + t_m^2 [B, [B, C]]),
+    h X + (i h^3 / 12) C + (h^5 / 240) [Y, C] + (i h^5 / 720) ad_X^2 C
+        + h^7 ((i / 30240) ad_X^4 C - (1 / 30240) ad_X^2 [Y, C]
+               + (1 / 7560) [Y, ad_X^2 C] - (i / 6720) [Y, [Y, C]]);
 
-with ``C = [A, B]`` and ``t_m = t + h / 2``; Jacobi with ``[C, C] = 0``
-gives ``[A, [B, C]] = [B, [A, C]]``.  The seven Hermitian matrices ``A, B,
-iC, [B, C], i[A, [A, C]], i[B, [A, C]], i[B, [B, C]]`` are formed once per
-propagation, every step generator is one real combination of them, and no
-``H(t)`` is evaluated.
+the even orders vanish at the midpoint, and the h^7 coefficients are the
+unique fit of these four shapes to the Dyson series of ``X + s Y`` (a
+sympy expansion of ``log U``).  Expanded in ``t_m`` (Jacobi with ``[C, C]
+= 0`` gives ``[A, [B, C]] = [B, [A, C]]``), the generator is one real
+combination of eleven Hermitian matrices, one per monomial ``h^p t_m^q``:
+``h, h t_m, h^3, h^5 t_m^(0..2), h^7 t_m^(0..4)``.  They are formed once
+per propagation, and no ``H(t)`` is evaluated.
 
 The adaptive loop works in blocks.  A block is a run of up to
-``_BLOCK_STEPS`` (128) steps of the proposed size from the last accepted
-time, its starts one running sum, the step that reaches ``t1`` clipped
-there.  The block is capped (below) as a whole: the caps of all its steps
-and members are one array expression, the steps over their cap are
-shortened, the later starts move with them, and the caps are read again
-until none binds.  The generators of every step of the block
-(the full step and its two halves, for every member) are formed at once,
-by one ``(3K, 7) @ (7, m 2n^2)`` product, and one stacked
-``eigh`` exponentiates all 3Km of them: at dimensions up to 8 the
-per-call overhead, not the arithmetic, is what costs.  A 2 x 2 stack
-(the fundamental pair of the Lax flow, ``lz2``) takes Rodrigues' closed
-form instead, entry by entry over the stack.  The step-doubling
-error estimate is the Richardson one of the sixth-order generator,
-``|U_half - U_full| / (2^6 - 1)``, one entry per step.  The longest prefix
+``_BLOCK_STEPS`` (128) steps from the last accepted time, its starts one
+running sum, the step that reaches the next end time clipped there.  Its
+steps are graded by the error growth the last block measured: a step's
+error over ``h^9`` grows as ``exp(9 lambda s)`` along the sweep, read off
+the last block's first and last steps, and the steps of the next block
+shrink as ``exp(-lambda s)``, ``t_j = t_0 + log(1 + lambda |h| j) /
+lambda``, within ``_MAX_SHRINK`` and ``_MAX_GROWTH`` of the first step; a
+block right after a rejection does not grow.  The block is capped (below)
+as a whole: the caps of all its steps and members are one array
+expression, the steps over their cap are shortened, the later starts move
+with them, and the caps are read again until none binds.  The generators
+of every step of the block (the full step and its two halves, for every
+member) are formed at once, by one ``(3K, 11) @ (11, m 2n^2)`` product,
+and one stacked ``eigh`` exponentiates all 3Km of them: at dimensions up
+to 8 the per-call overhead, not the arithmetic, is what costs.  A 2 x 2
+stack (the fundamental pair of the Lax flow, ``lz2``) takes Rodrigues'
+closed form instead, entry by entry over the stack.  The step-doubling
+error estimate is the Richardson one of the eighth-order generator,
+``|U_half - U_full| / (2^8 - 1)``, one entry per step.  The longest prefix
 of steps that each meet the tolerance is accepted and multiplied onto U; the
 controller then restarts from the first rejected step, shrunk by the usual
 factor, and the exponentials of the steps after it are discarded.  A block
 starts at ``_FIRST_BLOCK_STEPS`` steps, doubles after it is accepted whole
-and halves after a rejection, which keeps that discarded tail to a few per
-cent of the exponentials.
+and halves after a rejection.  A run may pass through several end times
+ordered away from its start: the step that reaches one is clipped there,
+its propagator recorded, and the run goes on with the step size and
+grading it had, so one sweep yields the propagators to every end time.
 
 The Richardson estimate is faithful only while a step turns the relative
 phase of the levels that ``[A, B]`` couples by less than 2 pi; beyond that
@@ -79,9 +90,10 @@ couplings, and more than ``_MAX_PERMUTATIONS`` candidate permutations
 mean no match.  The match is accepted within roundoff: a mismatch ``dA,
 dB`` moves the member's propagator by at most ``|dA| |t1 - t0| + |dB|
 |t1 - t0| (|t0| + |t1|) / 2`` over the span (Duhamel), and that must stay
-below ``_MATCH_FRACTION`` of the tolerance; the bases that ``unlift``
-recovers differ from their mirror images by an ulp.  The fold of a
-chiral pair then steps one member, half the matrices of every ``eigh``.
+below ``_MATCH_FRACTION`` of the tolerance over the whole span of the
+run, matched once per run; the bases that ``unlift`` recovers keep the
+mirror symmetry of the lifted pair bit for bit.  The fold of a chiral
+pair then steps one member, half the matrices of every ``eigh``.
 """
 
 from __future__ import annotations
@@ -104,10 +116,21 @@ _MAX_STEP_PHASE = 2.0 * np.pi
 _BLOCK_STEPS = 128
 _FIRST_BLOCK_STEPS = 4
 
-# Richardson: the two half steps of the sixth-order generator carry 2^-6
-# of the full step's error, and a step's error scales as h^7
-_RICHARDSON = 2.0 ** 6 - 1.0
-_STEP_EXPONENT = 1.0 / 7.0
+# Richardson: the two half steps of the eighth-order generator carry 2^-8
+# of the full step's error, and a step's error scales as h^9
+_RICHARDSON = 2.0 ** 8 - 1.0
+_STEP_EXPONENT = 1.0 / 9.0
+
+# the generator is one real combination of this many basis matrices, one
+# per monomial h^p t_m^q: h, h t_m, h^3, h^5 t_m^(0..2), h^7 t_m^(0..4)
+_BASIS_SIZE = 11
+
+# a graded block's last step lies within these factors of its first
+# (shrunk by up to _MAX_SHRINK, grown by up to _MAX_GROWTH); step errors
+# below _ERROR_FLOOR are roundoff and grade nothing
+_ERROR_FLOOR = 1e-14
+_MAX_SHRINK = 8.0
+_MAX_GROWTH = 2.0
 
 # a capped step that misses the cap at its own midpoint is shortened by at
 # least this factor per pass
@@ -234,7 +257,7 @@ def _step_generators(pair, t0, t1=None):
     """A map ``(t, h) -> (3, ..., m, n, n)`` of step generators, and a step cap.
 
     ``pair`` is ``(A, B)``, matrices (``m = 1``) or stacks of ``m`` of
-    them, taken as checked.  The stack holds the sixth-order generators of
+    them, taken as checked.  The stack holds the eighth-order generators of
     ``[t, t + h]``, ``[t, t + h/2]`` and ``[t + h/2, t + h]``, in that
     order, for each of the ``m`` members.  ``t`` and ``h`` are scalars,
     giving ``(3, m, n, n)``, or equal-shape arrays of the steps of a block,
@@ -248,25 +271,37 @@ def _step_generators(pair, t0, t1=None):
     a, b = (np.asarray(x, dtype=complex) for x in pair)
     a, b = a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + b.shape[-2:])
     m, n, _ = a.shape
-    # the basis holds seven Hermitian matrices per member and each
-    # generator is one real combination of them, formed for every step and
-    # member at once by one product on the float view of the basis.  The
-    # basis is quartic in (A, B) (|A|^3 |B| for [A, [A, C]]) and the cap
-    # quartic's coefficients are its squares, so a large pair overflows
-    # them; that is refused by name, not left to eigh
+    # the basis holds eleven Hermitian matrices per member, one per monomial
+    # h^p t_m^q of the generator, and each generator is one real combination
+    # of them, formed for every step and member at once by one product on
+    # the float view of the basis.  The basis is of degree 6 in (A, B)
+    # (|A|^5 |B| for ad_A^4 C) and the cap quartic's coefficients are of
+    # degree 8, so a large pair overflows them; that is refused by name,
+    # not left to eigh
     with np.errstate(over="ignore", invalid="ignore"):
         c = _commutator(a, b)
         bc = _commutator(b, c)
         ac = _commutator(a, c)
-        basis = np.stack((
-            a, b, 1j * c, bc, 1j * _commutator(a, ac), 1j * _commutator(b, ac),
-            1j * _commutator(b, bc),
-        )).reshape(7, m, n * n)
-        caps = np.array([_cap_quartic(last, c_member) for last, c_member in zip(np.swapaxes(basis[4:], 0, 1), c)])
+        aac, bac, bbc = _commutator(a, ac), _commutator(b, ac), _commutator(b, bc)
+        # ad_X^2 C by powers of t_m, X = A + t_m B; Jacobi with [C, C] = 0
+        # gives [A, [B, C]] = [B, [A, C]]
+        x2c = (aac, 2.0 * bac, bbc)
+        x4c = _ad_affine(a, b, _ad_affine(a, b, x2c))
+        x2bc = _ad_affine(a, b, _ad_affine(a, b, (bc,)))
+        bx2c = [_commutator(b, x) for x in x2c]
+        h7 = [1j / 30240.0 * x for x in x4c]
+        for q in range(3):
+            h7[q] = h7[q] - x2bc[q] / 30240.0 + bx2c[q] / 7560.0
+        h7[0] = h7[0] - 1j / 6720.0 * bbc
+        basis = np.stack([
+            a, b, 1j / 12.0 * c, bc / 240.0 + 1j / 720.0 * aac, 1j / 360.0 * bac, 1j / 720.0 * bbc, *h7,
+        ]).reshape(_BASIS_SIZE, m, n * n)
+        caps = np.array([_cap_quartic(last, c_member)
+                         for last, c_member in zip(np.stack((aac, bac, bbc), axis=1).reshape(m, 3, n * n), c)])
     if not (np.isfinite(basis).all() and np.isfinite(caps).all()):
         raise ValueError(
             f"A and B overflow the Magnus basis or its step cap: max|A| = {np.abs(a).max():.3e}, "
-            f"max|B| = {np.abs(b).max():.3e} (its entries are quartic in A and B, their squares)"
+            f"max|B| = {np.abs(b).max():.3e} (its entries are of degree 6 in A and B, the cap's of 8)"
         )
     if t1 is not None:
         # a span whose generators could overflow is refused before any step:
@@ -278,7 +313,7 @@ def _step_generators(pair, t0, t1=None):
                 @ np.abs(basis).max(axis=(1, 2))
         if not np.isfinite(worst):
             raise IntegrationDivergedError(f"the span [{t0:g}, {t1:g}] overflows the Magnus step generators", t0)
-    basis_re = basis.reshape(7, -1).view(float)
+    basis_re = basis.reshape(_BASIS_SIZE, -1).view(float)
     c_sq, quartic = caps[:, 0], caps[:, 1:].T
 
     def generators(t, h):
@@ -288,7 +323,7 @@ def _step_generators(pair, t0, t1=None):
         h = np.asarray(h, dtype=float)
         half = 0.5 * h
         coef = _pair_coefficients(np.stack((h, half, half)), np.stack((t + half, t + 0.5 * half, t + 1.5 * half)))
-        out = coef.reshape(-1, 7) @ basis_re
+        out = coef.reshape(-1, _BASIS_SIZE) @ basis_re
         return out.view(complex).reshape(coef.shape[:-1] + (m, n, n))
 
     def max_step(t, h):
@@ -309,33 +344,53 @@ def _step_generators(pair, t0, t1=None):
     return generators, max_step
 
 
+def _ad_affine(a, b, p):
+    # [A + tau B, P(tau)] for P a polynomial in tau given by its coefficient
+    # matrices, lowest power first; the result has one power more
+    out = [_commutator(a, x) for x in p] + [0.0]
+    for q, x in enumerate(p):
+        out[q + 1] = out[q + 1] + _commutator(b, x)
+    return out
+
+
 def _pair_coefficients(step, mid):
-    # the coefficients of the seven basis matrices in the generator of the
-    # step of length `step` around `mid`, stacked on a last axis
-    h5 = step ** 5 / 720.0
-    return np.stack((step, step * mid, step ** 3 / 12.0, 3.0 * h5, h5, 2.0 * h5 * mid, h5 * mid * mid), axis=-1)
+    # the monomials h^p t_m^q of the step of length `step` around `mid`
+    # that weigh the eleven basis matrices, stacked on a last axis
+    h2 = step * step
+    h3 = h2 * step
+    h5 = h3 * h2
+    h7 = h5 * h2
+    mid2 = mid * mid
+    return np.stack((step, step * mid, h3, h5, h5 * mid, h5 * mid2,
+                     h7, h7 * mid, h7 * mid2, h7 * mid2 * mid, h7 * mid2 * mid2), axis=-1)
 
 
 def _cap_quartic(last, c):
     # the gap g(t) is estimated as (|[H, [H, C]]| / |C|)^(1/2) (Frobenius,
-    # H = H(t)); |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of
-    # a member's last three basis rows.  Returns |C|^2 and the quartic's
+    # H = H(t)); [H, [H, C]] = [A, [A, C]] + 2 t [B, [A, C]] + t^2 [B, [B, C]],
+    # so |[H, [H, C]]|^2 is a quartic in t, from the Gram matrix of those
+    # three rows of a member.  Returns |C|^2 and the quartic's
     # coefficients, highest power first
     gram = (last.conj() @ last.T).real
     return [float(np.vdot(c, c).real), float(gram[2, 2]), float(4.0 * gram[1, 2]),
             float(4.0 * gram[1, 1] + 2.0 * gram[0, 2]), float(4.0 * gram[0, 1]), float(gram[0, 0])]
 
 
-def _block(max_step, t, t1, h, length, h_floor):
-    # the starts and steps of a block of up to `length` steps of size h
-    # from t, and where it ends.  The step that reaches t1 is clipped there
-    # and ends the block.  Every step over its cap is shortened to it, and
-    # by at least _CAP_SHRINK, the later starts move with it, and the caps
-    # are read again until none binds; a cap that grows along its step (as
-    # toward a smaller gap) settles in a few passes.  A binding cap below
-    # the floor ends the block before its step, or raises at the block's
-    # first step
-    steps = np.full(length, h)
+def _block(max_step, t, t1, h, length, h_floor, grade):
+    # the starts and steps of a block of up to `length` steps from t, and
+    # where it ends.  The steps follow the error growth the last block
+    # measured: step j spans log(1 + g j) to log(1 + g (j + 1)) in units of
+    # h / g, so a block of g > 0 shrinks along its length and one of g < 0
+    # grows.  The step that reaches t1 is clipped there and ends the block.
+    # Every step over its cap is shortened to it, and by at least
+    # _CAP_SHRINK, the later starts move with it, and the caps are read
+    # again until none binds; a cap that grows along its step (as toward a
+    # smaller gap) settles in a few passes.  A binding cap below the floor
+    # ends the block before its step, or raises at the block's first step
+    if grade:
+        steps = h * np.diff(np.log1p(grade * np.arange(length + 1.0))) / grade
+    else:
+        steps = np.full(length, h)
     while True:
         # edges[j] is where step j starts: the same sequential sums as
         # stepping one at a time
@@ -433,10 +488,13 @@ def _signed_permutation(source, target, t0, t1, tol):
     return None
 
 
-def _propagate(a, b, t0, t1, settings):
-    # the adaptive loop over blocks of steps on checked (m, n, n) stacks;
-    # one propagator per member.  A member that a signed level permutation P
-    # maps member 0 onto is not stepped but formed from member 0's F as P F P^T
+def _propagate(a, b, t0, ends, settings):
+    # the adaptive loop over blocks of steps on checked (m, n, n) stacks, from
+    # t0 through the end times `ends` (ordered away from t0); one propagator
+    # per end time and member, (len(ends), m, n, n).  A member that a signed
+    # level permutation P maps member 0 onto is not stepped but formed from
+    # member 0's F as P F P^T
+    t1 = ends[-1]
     tol = settings.atol + settings.rtol
     formed = {}
     for j in range(1, len(a)):
@@ -448,42 +506,86 @@ def _propagate(a, b, t0, t1, settings):
     span = t1 - t0
     direction = 1.0 if span > 0 else -1.0
     u = np.eye(a.shape[-1], dtype=complex)
+    out = np.empty((len(ends),) + a.shape, dtype=complex)
     t = t0
     h_prop = span * 1e-3
     h_floor = _MIN_STEP_FRACTION * abs(span)
     length = _FIRST_BLOCK_STEPS
-    while (t1 - t) * direction > 0.0:
-        starts, steps, s = _block(max_step, t, t1, h_prop, length, h_floor)
-        full, first, second = _expmi(generators(starts, steps))
-        half = second @ first
-        err = np.abs(half - full).reshape(len(steps), -1).max(axis=1) / _RICHARDSON
-        # accept the longest prefix of steps that each meet the tolerance
-        passed = err <= tol
-        accepted = len(steps) if passed.all() else int(passed.argmin())
-        if accepted:
-            u = _ordered_product(half[:accepted]) @ u
-            # the accepted steps end where the first rejected one starts
-            t = float(starts[accepted] if accepted < len(steps) else s)
-        if accepted == len(steps):
-            e = float(err[-1])
-            h_prop = steps[-1] * min(2.5, max(0.2, 0.9 * (tol / max(e, 1e-300)) ** _STEP_EXPONENT))
-            length = min(2 * length, _BLOCK_STEPS)
-        else:
-            # restart from the first rejected step
-            e = float(err[accepted])
-            h_prop = steps[accepted] * max(0.1, 0.9 * (tol / e) ** _STEP_EXPONENT)
-            length = max(length // 2, _FIRST_BLOCK_STEPS)
-        # accepted steps that keep shrinking (toward a finite-time
-        # singularity) stop here too, not only rejected ones
-        if abs(h_prop) < h_floor and (t1 - t) * direction > 0.0:
-            raise IntegrationDivergedError(f"magnus step underflow at t = {t!r}", t)
-    if not formed:
-        return u
-    out = np.empty(a.shape, dtype=complex)
-    out[stepped] = u
+    # the growth rate of the step error along the sweep, per unit of
+    # distance, over 9: steps that shrink as exp(-rate s) keep it level
+    rate = 0.0
+    for k, end in enumerate(ends):
+        while t != end:
+            grade = min(max(rate * abs(h_prop), (1.0 / _MAX_GROWTH - 1.0) / length),
+                        (_MAX_SHRINK - 1.0) / length)
+            starts, steps, s = _block(max_step, t, end, h_prop, length, h_floor, grade)
+            full, first, second = _expmi(generators(starts, steps))
+            half = second @ first
+            err = np.abs(half - full).reshape(len(steps), -1).max(axis=1) / _RICHARDSON
+            # accept the longest prefix of steps that each meet the tolerance
+            passed = err <= tol
+            accepted = len(steps) if passed.all() else int(passed.argmin())
+            if accepted:
+                u = _ordered_product(half[:accepted]) @ u
+                # the accepted steps end where the first rejected one starts
+                t = float(starts[accepted] if accepted < len(steps) else s)
+            # the step that reaches an end time is clipped there and sets
+            # neither the next step nor the error growth
+            last = accepted if accepted < len(steps) else len(steps) - 1 - (t == end and len(steps) > 1)
+            if last > 0 and min(err[0], err[last]) > _ERROR_FLOOR:
+                # a step's error over h^9 grows as exp(9 rate s) along the sweep
+                growth = (err[last] / err[0]) * (steps[0] / steps[last]) ** 9
+                distance = abs(starts[last] + 0.5 * steps[last] - starts[0] - 0.5 * steps[0])
+                rate = math.log(growth) * _STEP_EXPONENT / distance
+            if accepted == len(steps):
+                if t != end or len(steps) > 1:
+                    e = float(err[last])
+                    h_prop = steps[last] * min(2.5, max(0.2, 0.9 * (tol / max(e, 1e-300)) ** _STEP_EXPONENT))
+                length = min(2 * length, _BLOCK_STEPS)
+            else:
+                # restart from the first rejected step; the next block may
+                # not grow
+                e = float(err[accepted])
+                h_prop = steps[accepted] * max(0.1, 0.9 * (tol / e) ** _STEP_EXPONENT)
+                rate = max(rate, 0.0)
+                length = max(length // 2, _FIRST_BLOCK_STEPS)
+            # accepted steps that keep shrinking (toward a finite-time
+            # singularity) stop here too, not only rejected ones
+            if abs(h_prop) < h_floor and t != t1:
+                raise IntegrationDivergedError(f"magnus step underflow at t = {t!r}", t)
+        out[k, stepped] = u
     for j, (take, sign) in formed.items():
-        out[j] = np.outer(sign, sign) * u[0][np.ix_(take, take)]
+        out[:, j] = np.outer(sign, sign) * out[:, 0][:, take[:, None], take]
     return out
+
+
+def _end_times(t0, t1):
+    # t1 as a list of floats ordered away from t0, and whether it was one
+    if np.ndim(t1) == 0:
+        ends, single = [t1], True
+    else:
+        ends, single = list(t1), False
+    if not ends:
+        raise ValueError("t1 must name at least one end time")
+    if not (np.isfinite(t0) and np.isfinite(ends).all()):
+        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
+    ends = [float(end) for end in ends]
+    direction = np.sign(ends[-1] - t0)
+    if direction == 0.0 or np.any(np.diff([t0] + ends) * direction <= 0.0):
+        raise ValueError(f"the end times must differ from t0 and be ordered away from it, got {t0} and {t1}")
+    return ends, single
+
+
+class EndTimes(tuple):
+    """End times for ``propagate_unitary``, ordered away from ``t0``.
+
+    Any sequence of floats does as ``t1``; this one also converts to a
+    float, its last end time, for code that reads ``t1`` as the end of the
+    span (perfbench's span tracer).
+    """
+
+    def __float__(self):
+        return float(self[-1])
 
 
 def propagate_unitary(pair, t0, t1, settings=None):
@@ -491,43 +593,48 @@ def propagate_unitary(pair, t0, t1, settings=None):
 
     ``pair`` is ``(A, B)``, Hermitian matrices or stacks of shape
     ``(m, n, n)``; the ``m`` members of a stack share every step and the
-    result has shape ``(m, n, n)``.  A callable ``H(t)`` is refused with a
-    ``TypeError`` that names the pair form.  Each step takes the
-    sixth-order Magnus generator in closed form (module docstring), a real
-    combination of seven matrices formed once per call, under step-doubling
-    error control (Richardson divisor ``2^6 - 1``, step exponent ``1 / 7``,
-    the error the largest over the members).  The adaptive loop proposes a
-    block of up to 128 steps of one size, the last clipped at ``t1``, and
-    settles the step cap for the block as a whole: each step is kept below
-    one turn of the relative phase of the levels ``[A, B]`` couples at its
-    own midpoint, where the error estimate stops being faithful, and a
-    shortened step moves the later ones until every cap holds.  It then
-    exponentiates the full-step and two half-step generators of every step
-    and member of the block as one stacked ``eigh`` (Rodrigues' closed form
-    at n = 2), accepts the longest prefix of steps that each meet the
-    tolerance and restarts from the first rejected one, discarding the rest
-    of the block.
+    result has shape ``(m, n, n)``.  ``t1`` may be a sequence of end times
+    ordered away from ``t0``: one adaptive run passes through them all,
+    each step that reaches one is clipped there without resetting the step
+    size, and the result holds one propagator from ``t0`` per end time on a
+    leading axis.  A callable ``H(t)`` is refused with a ``TypeError`` that
+    names the pair form.  Each step takes the eighth-order Magnus generator
+    in closed form (module docstring), a real combination of eleven
+    matrices formed once per call, under step-doubling error control
+    (Richardson divisor ``2^8 - 1``, step exponent ``1 / 9``, the error the
+    largest over the members).  The adaptive loop proposes a block of up to
+    128 steps graded by the error growth the last block measured, the last
+    clipped at the end time, and settles the step cap for the block as a
+    whole: each step is kept below one turn of the relative phase of the
+    levels ``[A, B]`` couples at its own midpoint, where the error estimate
+    stops being faithful, and a shortened step moves the later ones until
+    every cap holds.  It then exponentiates the full-step and two half-step
+    generators of every step and member of the block as one stacked
+    ``eigh`` (Rodrigues' closed form at n = 2), accepts the longest prefix
+    of steps that each meet the tolerance and restarts from the first
+    rejected one, discarding the rest of the block.
 
-    An unstacked pair whose interval has 0 strictly inside is folded there:
-    ``U(t1, t0) = F(t1, 0) G(-t0, 0)^dag`` with F the propagator of
-    ``(A, B)`` and G that of the mirror ``(-A, B)``, both outward from 0
-    in the direction of ``t1 - t0``.  F and G are propagated as one stack
-    up to ``min(|t0|, |t1|)`` and the longer one is finished alone, so the
-    interval costs one sweep of its longer half.  In any stack, a member
-    that a signed level permutation P maps member 0's pair onto, within a
-    small fraction of the tolerance (module docstring), is not stepped but
-    formed as ``P F P^T``: for a chiral pair, every catalog base, the
-    fold steps F alone.
+    An unstacked pair whose end times all lie across 0 from ``t0`` is
+    folded there: ``U(t1, t0) = F(t1, 0) G(-t0, 0)^dag`` with F the
+    propagator of ``(A, B)`` and G that of the mirror ``(-A, B)``, both
+    outward from 0 in the direction of ``t1 - t0``.  F and G are propagated
+    as one stack up to ``min(|t0|, |t1|)`` and the longer one is finished
+    alone, so the interval costs one sweep of its longer half.  In any
+    stack, a member that a signed level permutation P maps member 0's pair
+    onto, within a small fraction of the tolerance over the whole span
+    (module docstring), is not stepped but formed as ``P F P^T``: for a
+    chiral pair, every catalog base, the fold steps F alone.
 
     Every update is an exact exponential of a Hermitian generator, so the
     result is unitary to roundoff regardless of tolerance; the tolerances
     control phase/transition accuracy only.  ``A`` and ``B`` (each member)
     are checked once per call: a non-finite entry raises ``ValueError``, a
     Hermiticity defect above ``1e-12 max|M|`` ``NonHermitianError``.
-    Non-finite endpoints and unequal shapes raise ``ValueError``.  A span
-    that would overflow a step generator, and a proposed step or step cap
-    below ``1e-7`` of the span (accepted or not, so a run toward an
-    unbounded gap ends early), raise ``IntegrationDivergedError``.
+    Non-finite or unordered end times and unequal shapes raise
+    ``ValueError``.  A span that would overflow a step generator, and a
+    proposed step or step cap below ``1e-7`` of the span (accepted or not,
+    so a run toward an unbounded gap ends early), raise
+    ``IntegrationDivergedError``.
     """
     try:
         a, b = pair
@@ -536,25 +643,34 @@ def propagate_unitary(pair, t0, t1, settings=None):
                         f"not a {type(pair).__name__}") from None
     if settings is None:
         settings = OdeSettings()
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError(f"t0 and t1 must be finite, got {t0} and {t1}")
-    if t0 == t1:
-        raise ValueError("t0 and t1 must differ")
+    ends, single = _end_times(t0, t1)
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     stacked = a.ndim != 2 or b.ndim != 2
     a, b = _hermitian_members(a, "A"), _hermitian_members(b, "B")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: A {a.shape} vs B {b.shape}")
-    if stacked or t0 * t1 >= 0.0:
-        u = _propagate(a, b, t0, t1, settings)
-        return u if stacked else u[0]
-    # i dW/ds = (-A + s B) W for W(s) = U(-s, 0), so U(0, t0) = G(-t0, 0)^dag
-    inner = math.copysign(min(abs(t0), abs(t1)), t1)
-    f, g = _propagate(np.concatenate((a, -a)), np.concatenate((b, b)), 0.0, inner, settings)
-    if abs(t1) > abs(inner):
-        f = _propagate(a, b, inner, t1, settings)[0] @ f
+    if stacked or t0 * ends[0] >= 0.0:
+        u = _propagate(a, b, t0, ends, settings)
+    else:
+        u = _folded(a, b, t0, ends, settings)
+    u = u if stacked else u[:, 0]
+    return u[0] if single else u
+
+
+def _folded(a, b, t0, ends, settings):
+    # i dW/ds = (-A + s B) W for W(s) = U(-s, 0), so U(0, t0) = G(-t0, 0)^dag;
+    # F runs through every end time, G to -t0, as one stack up to the
+    # nearer of -t0 and the last end time
+    inner = math.copysign(min(abs(t0), abs(ends[-1])), ends[-1])
+    stops = [end for end in ends if abs(end) < abs(inner)] + [inner]
+    both = _propagate(np.concatenate((a, -a)), np.concatenate((b, b)), 0.0, stops, settings)
+    f, g = both[:, :1], both[-1, 1]
+    rest = [end for end in ends if abs(end) > abs(inner)]
+    if rest:
+        # F from inner on alone; inner is one of F's end times only if it is an end
+        f = np.concatenate((f if inner in ends else f[:-1], _propagate(a, b, inner, rest, settings) @ f[-1]))
     elif abs(t0) > abs(inner):
-        g = _propagate(-a, b, inner, -t0, settings)[0] @ g
+        g = _propagate(-a, b, inner, [-t0], settings)[0, 0] @ g
     return f @ g.conj().T
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .laxflow import clamp_probabilities
 from .models import AffineModel, lift_unitary, unlift
-from .numerics import propagate_unitary, unitarity_defect
+from .numerics import EndTimes, propagate_unitary, unitarity_defect
 
 # entrywise spread across horizons beyond which a result is flagged
 CONVERGENCE_SPREAD_LIMIT = 0.1
@@ -65,12 +65,13 @@ def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleRe
     ``U(T, -T) = F(T, 0) G(T, 0)^dag`` with F the propagator of
     ``H = A + t B`` and G that of the mirror ``-A + t B`` (``G(s, 0)`` is
     ``U(-s, 0)``).  F and G are propagated outward from 0 as one stacked
-    pair over the shells [0, T/2], [T/2, T/sqrt(2)] and [T/sqrt(2), T],
-    and ``U = F G^dag`` is read off at each of the three horizons, so the
-    three propagators cost one sweep of [0, T].  For a chiral pair (every
+    pair in one adaptive sweep of [0, T] that passes through the horizons
+    T/2, T/sqrt(2) and T (``propagate_unitary`` with three end times), and
+    ``U = F G^dag`` is read off at each of them.  For a chiral pair (every
     catalog base) the stack steps F alone and forms G as ``P F P^T``, P
     the signed level permutation that maps ``(A, B)`` to ``(-A, B)``
-    (``numerics`` module docstring).  The entrywise
+    (``numerics`` module docstring), matched once per solve over the whole
+    span.  The entrywise
     spread of the three probability matrices is the error estimate.  A
     spread above 0.1 flags the result as non-converged (it is still
     returned).
@@ -88,17 +89,13 @@ def numeric_smatrix(model: AffineModel, t_final=None, settings=None) -> OracleRe
     base = unlift(pair, model.rep)
     (a, b), rep = (pair, None) if base is None else (base, model.rep)
     mirrored = (np.stack((a, -a)), np.stack((b, b)))
-    f = g = np.eye(len(a), dtype=complex)
+    horizons = EndTimes((0.5 * t_final, t_final / np.sqrt(2.0), t_final))
     mats = []
     defect = 0.0
-    inner = 0.0
-    for outer in (0.5 * t_final, t_final / np.sqrt(2.0), t_final):
-        shell_f, shell_g = propagate_unitary(mirrored, inner, outer, settings)
-        f, g = shell_f @ f, shell_g @ g
+    for f, g in propagate_unitary(mirrored, 0.0, horizons, settings):
         u = lift_unitary(f @ g.conj().T, rep)
         defect = max(defect, unitarity_defect(u))
         mats.append(np.abs(u) ** 2)
-        inner = outer
     spread = float(np.max(np.abs(mats[0] - mats[2])))
     spread = max(spread, float(np.max(np.abs(mats[1] - mats[2]))))
     return OracleResult(

@@ -136,20 +136,22 @@ def test_lifted_numeric_smatrix_matches_the_direct_fold(family, kwargs, t_final)
 
 
 def test_lifted_numeric_smatrix_propagates_only_the_base(monkeypatch):
-    shapes = []
+    calls = []
 
     def spy(pair, t0, t1, settings):
-        shapes.append(np.shape(pair[0]))
+        calls.append((np.shape(pair[0]), t0, tuple(t1)))
         return propagate_unitary(pair, t0, t1, settings)
 
     monkeypatch.setattr(oracle, "propagate_unitary", spy)
     m = build_model("su3adj8", delta=0.2, slope=0.4, eps=1.0)
     numeric_smatrix(m, t_final=10.0, settings=FAST)
-    assert shapes == [(2, 3, 3)] * 3
+    # one sweep of the stacked base pair through the three horizons
+    horizons = (5.0, 10.0 / np.sqrt(2.0), 10.0)
+    assert calls == [((2, 3, 3), 0.0, horizons)]
     # a model that names no representation runs on its own pair
-    shapes.clear()
+    calls.clear()
     numeric_smatrix(dataclasses.replace(m, rep=None), t_final=10.0, settings=FAST)
-    assert shapes == [(2, 8, 8)] * 3
+    assert calls == [((2, 8, 8), 0.0, horizons)]
 
 
 def test_lifted_numeric_smatrix_follows_a_copy_with_other_coefficients():
@@ -168,7 +170,7 @@ def test_off_image_copy_runs_its_own_pair(monkeypatch):
     shapes = []
 
     def spy(pair, t0, t1, settings):
-        shapes.append(np.shape(pair[0]))
+        shapes.append((np.shape(pair[0]), len(t1)))
         return propagate_unitary(pair, t0, t1, settings)
 
     monkeypatch.setattr(oracle, "propagate_unitary", spy)
@@ -177,7 +179,7 @@ def test_off_image_copy_runs_its_own_pair(monkeypatch):
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     perturbed = dataclasses.replace(m, a0=m.a0 + 1e-3 * (x + x.conj().T))
     result = numeric_smatrix(perturbed, t_final=10.0, settings=FAST)
-    assert shapes == [(2, 6, 6)] * 3
+    assert shapes == [((2, 6, 6), 3)]
     direct = numeric_smatrix(dataclasses.replace(perturbed, rep=None), t_final=10.0, settings=FAST)
     assert np.array_equal(result.s_num, direct.s_num)
 
