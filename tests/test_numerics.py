@@ -385,7 +385,8 @@ def test_one_step_size_through_the_end_times(monkeypatch):
     propagate_unitary(pair, 0.0, 100.0, settings_)
     (through, _, _), (alone, _, _) = runs
     steps = [sum(len(t) for t, _ in blocks) for blocks in (through, alone)]
-    assert len(through) <= len(alone) + 2 * 2
+    # each of the two inner end times may end a block early and clip one step
+    assert len(through) <= len(alone) + 4
     assert steps[0] <= 1.02 * steps[1] + 2
 
 
